@@ -8,7 +8,6 @@ recover the bits.  KLJN carries 1 bit on the variance, GQNM 2 bits on
 4 bits over 4x4 levels.
 """
 
-from ._kernels import BACKEND
 from .analysis import (
     DistinguishabilityReport,
     MeanConditionResult,
@@ -63,7 +62,6 @@ from .params import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "BepEstimate",
     "BlockEstimates",
     "ChannelConfig",

@@ -84,6 +84,8 @@ _SCHEME_CHOICES = {
 
 
 def cmd_simulate(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     scheme_config, channel, n_default = _load(args)
     n_values = _parse_int_range(args.n) if args.n is not None else [n_default]
     sw_values = (

@@ -19,15 +19,19 @@ from enum import Enum
 
 import numpy as np
 
-from ._kernels import compute_moments
 from .analysis import SpreadFormula
 from .detect import ThresholdMode, threshold_bank
 from .modem import NoiseSource, Scheme
 from .params import ChannelConfig, Mode, SchemeConfig, derive_subchannels
 
-# Per-chunk sample cap; bounds the numpy fallback's array size (~32 MB
-# of float64) and the per-chunk detection arrays.
-CHUNK_SAMPLE_BUDGET = 4_000_000
+# Symbols per chunk; bounds the per-chunk bit, state and detection arrays
+# (a few MB) independently of the block length.
+CHUNK_SYMBOLS = 1 << 16
+
+# Least work, in symbols (~0.1 s at ~100 ns a symbol), that pays for
+# forking, warming and joining one pool worker.  run_sweep starts no more
+# workers than the sweep has such shares, so a small sweep runs in-process.
+SYMBOLS_PER_WORKER = 1 << 20
 
 WILSON_Z = 1.96  # two-sided 95%
 
@@ -127,6 +131,20 @@ def _detect_bits(scheme, mean_hat, var_hat, mean_th, var_th):
     return out
 
 
+def compute_moments(gen, sigmas, n, sigma_w):
+    """Block mean deviation and 1/N sample variance for one chunk of symbols.
+
+    For n Gaussian samples of variance s2 = sigma^2 + sigma_w^2 the block
+    mean deviation is Normal(0, s2/n) and n * var_hat / s2 is independently
+    chi-square(n - 1), i.e. 2 * Gamma((n - 1)/2); one normal and then one
+    gamma draw per symbol give exactly that joint law.
+    """
+    scale = (sigmas * sigmas + sigma_w * sigma_w) / n
+    mean_dev = np.sqrt(scale) * gen.standard_normal(sigmas.size)
+    var_hat = 2.0 * scale * gen.standard_gamma((n - 1) / 2.0, sigmas.size)
+    return mean_dev, var_hat
+
+
 def run_point(
     scheme: Scheme,
     config: SchemeConfig,
@@ -139,11 +157,12 @@ def run_point(
 ) -> BepEstimate:
     """Estimate the BEP of one scheme at one operating point.
 
-    Uniform random bits select symbol states, each symbol is a block of n
-    Gaussian samples pushed through the channel and detected, and errors
-    accumulate over all bit positions until at least min_bits bits are
-    counted.  The stream is consumed in fixed chunk order (bits first,
-    then the per-sample noise draws), so a given NoiseSource key fully
+    Uniform random bits select symbol states, each symbol's block of n
+    Gaussian samples plus channel noise is reduced to its sufficient
+    statistics (see compute_moments) and detected, and errors accumulate
+    over all bit positions until at least min_bits bits are counted.  Each
+    chunk of CHUNK_SYMBOLS symbols consumes the stream in a fixed order
+    (bits, then normals, then gammas), so a given NoiseSource key fully
     determines the estimate.
     """
     if min_bits < 1:
@@ -157,13 +176,12 @@ def run_point(
     var_th = np.asarray(bank.effective_var_thresholds)
     bps = scheme.bits_per_symbol
     total_symbols = -(-min_bits // bps)
-    chunk_cap = max(1, CHUNK_SAMPLE_BUDGET // n)
     gen = rng.generator
     sigma_w = channel.sigma_w
     errors = 0
     done = 0
     while done < total_symbols:
-        n_sym = min(chunk_cap, total_symbols - done)
+        n_sym = min(CHUNK_SYMBOLS, total_symbols - done)
         bits = gen.integers(0, 2, size=(n_sym, bps), dtype=np.int8)
         m_sym, s_sym = _symbol_states(scheme, bits, mean_table, sigma_table)
         mean_dev, var_hat = compute_moments(gen, s_sym, n, sigma_w)
@@ -265,6 +283,7 @@ def _fingerprint(spec: SweepSpec, scheme: Scheme, index: int, n_symbol: int,
         "stream_id": stream_id,
         "fairness": spec.fairness.value,
         "threshold_mode": spec.threshold_mode.value,
+        "sampler": "suffstat",
         "config": _config_payload(spec.scheme_config),
     }
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -298,24 +317,35 @@ def _run_cell(spec: SweepSpec, scheme: Scheme, index: int) -> RunRecord:
     )
 
 
+def _pool_size(spec: SweepSpec, cells, workers: int) -> int:
+    """Processes for a sweep: at most `workers`, one per cell, and one per
+    SYMBOLS_PER_WORKER symbols (a cell's cost is its symbol count)."""
+    symbols = sum(-(-spec.min_bits // scheme.bits_per_symbol) for scheme, _ in cells)
+    return max(1, min(workers, len(cells), symbols // SYMBOLS_PER_WORKER))
+
+
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """Run every (scheme x value) cell of a sweep.
+    """Run every (scheme x value) cell of a sweep on up to `workers` processes.
 
     Cell failures are collected, not raised, and the remaining cells still
     run.  Records come back in grid order regardless of worker count, and
-    their contents are independent of it.
+    their contents are independent of it.  Sweeps too small to pay for a
+    process pool (see SYMBOLS_PER_WORKER) run in this process.
     """
+    if workers < 1:
+        raise ValueError(f"workers >= 1 required, got {workers}")
     cells = [(scheme, i) for scheme in spec.schemes for i in range(len(spec.values))]
     records: dict[tuple, RunRecord] = {}
     failures: list[CellFailure] = []
-    if workers <= 1:
+    processes = _pool_size(spec, cells, workers)
+    if processes == 1:
         for scheme, i in cells:
             try:
                 records[(scheme, i)] = _run_cell(spec, scheme, i)
             except Exception as e:  # noqa: BLE001 - cell isolation by contract
                 failures.append(CellFailure(scheme, spec.values[i], str(e)))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             futures = {(scheme, i): pool.submit(_run_cell, spec, scheme, i)
                        for scheme, i in cells}
             for scheme, i in cells:

@@ -138,8 +138,8 @@ class ChannelConfig:
 class DerivedConstants:
     """The four composite means/variances and their midpoint thresholds.
 
-    Means are in level order (low/low, high/low, low/high, high/high);
-    variances are the four component sums sorted ascending.
+    Both are in level order (low/low, high/low, low/high, high/high),
+    which derive_constants requires to be ascending.
     """
 
     means: tuple[float, float, float, float]
@@ -168,7 +168,7 @@ def derive_constants(sub0: SubchannelParams, sub1: SubchannelParams) -> DerivedC
     """Compute composite level sets and detector thresholds.
 
     Raises DegenerateLevelsError if any two means or variances coincide,
-    or if the means are not increasing in level order (either way the
+    or if either set is not increasing in level order (either way the
     midpoint detector would be meaningless).
     """
     means = (
@@ -177,19 +177,20 @@ def derive_constants(sub0: SubchannelParams, sub1: SubchannelParams) -> DerivedC
         sub0.m_L + sub1.m_H,
         sub0.m_H + sub1.m_H,
     )
-    raw_vars = (
+    variances = (
         sub0.var_0 + sub1.var_0,
         sub0.var_1 + sub1.var_0,
         sub0.var_0 + sub1.var_1,
         sub0.var_1 + sub1.var_1,
     )
-    variances = tuple(sorted(raw_vars))
-    for label, levels in (("mean", sorted(means)), ("variance", variances)):
-        for a, b in zip(levels, levels[1:]):
+    for label, levels in (("mean", means), ("variance", variances)):
+        ordered = sorted(levels)
+        for a, b in zip(ordered, ordered[1:]):
             if a == b:
                 raise DegenerateLevelsError(f"coincident composite {label} levels at {a!r}")
-    if any(b <= a for a, b in zip(means, means[1:])):
-        raise DegenerateLevelsError(f"composite means out of level order: {means!r}")
+        # the detectors map region i back to bits (i & 1, i >> 1)
+        if any(b <= a for a, b in zip(levels, levels[1:])):
+            raise DegenerateLevelsError(f"composite {label}s out of level order: {levels!r}")
     return DerivedConstants(
         means=means,
         variances=variances,

@@ -17,7 +17,7 @@ from noisemod import (
     derive_subchannels,
     sample_variance_spread,
 )
-from noisemod._kernels import compute_moments
+from noisemod.harness import compute_moments
 
 
 class TestChiSquareMoment:

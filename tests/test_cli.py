@@ -12,6 +12,27 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 CANONICAL_CFG = str(REPO_ROOT / "configs" / "canonical.json")
 LITERAL_CFG = str(REPO_ROOT / "configs" / "paper_literal.json")
 
+# Variance sums (11, 40, 21, 50)e-10 in level order: not ascending.
+OUT_OF_ORDER_VARIANCES = {
+    "sigma_w": 0.0, "samples_per_symbol": 2000,
+    "explicit": {
+        "sub0": {"m_L": 1e-3, "m_H": 2e-2, "var_0": 1e-10, "var_1": 30e-10},
+        "sub1": {"m_L": 5e-2, "m_H": 1e-1, "var_0": 10e-10, "var_1": 20e-10},
+    },
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["derive"],
+    ["check"],
+    ["simulate", "--scheme", "cgqnm", "--fairness", "per-symbol", "--min-bits", "1000"],
+])
+def test_out_of_order_variances_exit_one(tmp_path, capsys, argv):
+    path = tmp_path / "swapped.json"
+    path.write_text(json.dumps(OUT_OF_ORDER_VARIANCES))
+    assert main([*argv, "--config", str(path)]) == 1
+    assert "variances out of level order" in capsys.readouterr().err
+
 
 class TestDerive:
     def test_json_output_default_config(self, capsys):
@@ -127,6 +148,18 @@ class TestSimulate:
 
     def test_bad_flag_value_exits_one(self, capsys):
         assert main(["simulate", "--fairness", "bogus"]) == 1
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_nonpositive_workers_exit_one(self, monkeypatch, capsys, workers):
+        import noisemod.cli as cli
+
+        def started(*args, **kwargs):
+            raise AssertionError("a sweep was started")
+
+        monkeypatch.setattr(cli, "run_sweep", started)
+        code = main(["simulate", "--scheme", "kljn", "--n", "40", "--workers", workers])
+        assert code == 1
+        assert "--workers" in capsys.readouterr().err
 
     def test_bad_range_exits_one(self, capsys):
         assert main(["simulate", "--n", "100:40:15"]) == 1

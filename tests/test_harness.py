@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -12,22 +14,28 @@ from noisemod import (
     DegenerateLevelsError,
     Fairness,
     NoiseSource,
-    SampleBlock,
     Scheme,
     SchemeConfig,
     SubchannelParams,
     SweepSpec,
     SweepVariable,
+    SymbolBits,
     ThresholdMode,
+    awgn,
     derive_subchannels,
+    detect_mean_bits,
     detect_symbol,
+    detect_var_bits,
     emit,
+    estimate,
+    modulate,
     run_point,
     run_sweep,
+    select_state,
     threshold_bank,
     wilson_interval,
 )
-from noisemod.harness import CSV_COLUMNS, _detect_bits, _state_tables, _symbol_states
+from noisemod.harness import CSV_COLUMNS, _detect_bits, compute_moments
 
 
 class TestWilson:
@@ -81,7 +89,7 @@ class TestRunPoint:
         args = (Scheme.CGQNM, DEFAULT_SCHEME, ChannelConfig(2e-5), 50, 8000)
         whole = run_point(*args, NoiseSource(3, 4))
         import noisemod.harness as hn
-        monkeypatch.setattr(hn, "CHUNK_SAMPLE_BUDGET", 50 * 64)
+        monkeypatch.setattr(hn, "CHUNK_SYMBOLS", 64)
         chunked = run_point(*args, NoiseSource(3, 4))
         # different chunk boundaries consume the stream differently, but the
         # estimate must stay statistically identical and deterministic
@@ -89,26 +97,38 @@ class TestRunPoint:
         assert abs(chunked.bep - whole.bep) < 6 * (whole.ci_high - whole.ci_low)
 
     def test_matches_blockwise_reference_path(self):
-        # same draws through the chunked engine and the per-block ops
-        scheme = Scheme.CGQNM
+        # same draws through the chunked engine and scalar per-symbol ops
         n_sym, n, sigma_w = 64, 50, 2e-5
         sub0, sub1 = derive_subchannels(DEFAULT_SCHEME)
-        bank = threshold_bank(scheme, sub0, sub1, sigma_w=sigma_w)
-        gen = NoiseSource(77, 5).generator
-        bits = gen.integers(0, 2, size=(n_sym, 4), dtype=np.int8)
-        draws = gen.standard_normal((n_sym, n, 2))
-        mean_table, sigma_table = _state_tables(scheme, sub0, sub1)
-        m_sym, s_sym = _symbol_states(scheme, bits, mean_table, sigma_table)
-        x = m_sym[:, None] + s_sym[:, None] * draws[:, :, 0] + sigma_w * draws[:, :, 1]
-        manual_errors = 0
-        for i in range(n_sym):
-            block = SampleBlock(x[i], float(m_sym[i]), float(s_sym[i] ** 2 + sigma_w**2))
-            got = detect_symbol(block, scheme, bank)
-            manual_errors += int(np.sum(np.array(got.bits) != bits[i]))
-        est = run_point(
-            scheme, DEFAULT_SCHEME, ChannelConfig(sigma_w), n, 4 * n_sym, NoiseSource(77, 5)
-        )
-        assert est.errors == manual_errors
+        for scheme in Scheme:
+            bank = threshold_bank(scheme, sub0, sub1, sigma_w=sigma_w)
+            var_th = bank.effective_var_thresholds
+            gen = NoiseSource(77, 5).generator
+            bits = gen.integers(0, 2, size=(n_sym, scheme.bits_per_symbol), dtype=np.int8)
+            states = [
+                select_state(SymbolBits(scheme, tuple(int(b) for b in row)), sub0, sub1)
+                for row in bits
+            ]
+            sigmas = np.sqrt([var for _, var in states])
+            mean_dev, var_hat = compute_moments(gen, sigmas, n, sigma_w)
+            manual_errors = 0
+            for i, (mean, _) in enumerate(states):
+                mean_hat = mean + mean_dev[i]
+                if scheme is Scheme.CGQNM:
+                    b00, b01 = detect_mean_bits(mean_hat, bank)
+                    b10, b11 = detect_var_bits(var_hat[i], bank)
+                    got = (b00, b10, b01, b11)
+                elif scheme is Scheme.GQNM:
+                    got = (bisect_right(bank.mean_thresholds, mean_hat),
+                           bisect_right(var_th, var_hat[i]))
+                else:
+                    got = (bisect_right(var_th, var_hat[i]),)
+                manual_errors += int(np.sum(np.array(got) != bits[i]))
+            est = run_point(
+                scheme, DEFAULT_SCHEME, ChannelConfig(sigma_w), n,
+                scheme.bits_per_symbol * n_sym, NoiseSource(77, 5),
+            )
+            assert est.errors == manual_errors
 
     def test_vectorized_detection_matches_region_table(self, canonical_subs):
         bank = threshold_bank(Scheme.CGQNM, *canonical_subs)
@@ -122,6 +142,48 @@ class TestRunPoint:
         for i in range(5):
             assert (out[i, 0], out[i, 2]) == expected_mean_bits[i]
             assert (out[i, 1], out[i, 3]) == expected_var_bits[i]
+
+
+class TestSamplerAgreement:
+    """The closed-form moment draw against real samples (modulate/awgn/estimate)."""
+
+    @pytest.mark.parametrize("sigma_w", [0.0, 2e-5])
+    @pytest.mark.parametrize("n", [2, 8, 100])
+    def test_moments_match_per_sample_path(self, canonical_subs, n, sigma_w):
+        k = 20_000
+        bits = SymbolBits(Scheme.CGQNM, (0, 0, 0, 0))
+        mean, var = select_state(bits, *canonical_subs)
+        rng = NoiseSource(808, n)
+        ref = [estimate(awgn(modulate(bits, (mean, var), n, rng), sigma_w, rng))
+               for _ in range(k)]
+        dev, var_hat = compute_moments(
+            NoiseSource(809, n).generator, np.full(k, math.sqrt(var)), n, sigma_w
+        )
+        s2 = var + sigma_w**2
+        # (per-sample draws, sampler draws, law variance, law excess kurtosis):
+        # mean_hat is Normal(m, s2/n); n * var_hat / s2 is chi-square(n - 1)
+        for a, b, v, excess in (
+            (np.array([e.mean_hat for e in ref]), mean + dev, s2 / n, 0.0),
+            (np.array([e.var_hat for e in ref]), var_hat, 2 * (n - 1) * s2**2 / n**2,
+             12.0 / (n - 1)),
+        ):
+            assert abs(a.mean() - b.mean()) < 4 * math.sqrt(2 * v / k)
+            assert abs(a.var() - b.var()) < 4 * math.sqrt(2 * v * v * (2 + excess) / k)
+
+    def test_bep_matches_per_sample_path(self):
+        scheme, n, sigma_w, k = Scheme.CGQNM, 8, 2e-5, 20_000
+        sub0, sub1 = derive_subchannels(DEFAULT_SCHEME)
+        bank = threshold_bank(scheme, sub0, sub1, sigma_w=sigma_w)
+        rng = NoiseSource(818)
+        errors = 0
+        for row in rng.generator.integers(0, 2, size=(k, 4)):
+            bits = SymbolBits(scheme, tuple(int(b) for b in row))
+            block = awgn(modulate(bits, select_state(bits, sub0, sub1), n, rng), sigma_w, rng)
+            got = detect_symbol(block, scheme, bank).bits
+            errors += sum(a != b for a, b in zip(got, bits.bits))
+        low, high = wilson_interval(errors, 4 * k)
+        est = run_point(scheme, DEFAULT_SCHEME, ChannelConfig(sigma_w), n, 4 * k, NoiseSource(819))
+        assert est.ci_low <= high and low <= est.ci_high
 
 
 def _tiny_spec(**overrides):
@@ -146,13 +208,58 @@ class TestRunSweep:
         want = [(s, v) for s in (Scheme.KLJN, Scheme.GQNM, Scheme.CGQNM) for v in (40, 100)]
         assert got == want
 
-    def test_worker_count_does_not_change_results(self):
+    def test_worker_count_does_not_change_results(self, monkeypatch):
+        import noisemod.harness as hn
+
         spec = _tiny_spec()
         serial = run_sweep(spec, workers=1)
+        # one symbol per worker is enough, so the sweep really forks 4 processes
+        monkeypatch.setattr(hn, "SYMBOLS_PER_WORKER", 1)
         parallel = run_sweep(spec, workers=4)
         for a, b in zip(serial.records, parallel.records):
             assert a.estimate == b.estimate
             assert a.fingerprint == b.fingerprint
+
+    def test_small_sweep_runs_in_process(self, monkeypatch):
+        import noisemod.harness as hn
+
+        serial = run_sweep(_tiny_spec(), workers=1)
+
+        def started(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(hn, "ProcessPoolExecutor", started)
+        pooled = run_sweep(_tiny_spec(), workers=4)
+        assert [r.estimate for r in pooled.records] == [r.estimate for r in serial.records]
+        assert [r.fingerprint for r in pooled.records] == [r.fingerprint for r in serial.records]
+
+    def test_pool_size_follows_symbol_count(self, monkeypatch):
+        import noisemod.harness as hn
+
+        sizes = []
+
+        class Recorder(hn.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(hn, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(hn, "SYMBOLS_PER_WORKER", 1000)
+        # 2 values x (1000 + 500 + 250) symbols = 3500 symbols: 3 processes, not 8
+        assert len(run_sweep(_tiny_spec(), workers=8).records) == 6
+        assert sizes == [3]
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_nonpositive_workers_rejected(self, monkeypatch, workers):
+        import noisemod.harness as hn
+
+        def started(*args, **kwargs):
+            raise AssertionError("a cell or pool was started")
+
+        monkeypatch.setattr(hn, "ProcessPoolExecutor", started)
+        monkeypatch.setattr(hn, "_run_cell", started)
+        with pytest.raises(ValueError, match="workers"):
+            run_sweep(_tiny_spec(), workers=workers)
 
     def test_cells_are_independent_of_grid_shape(self):
         lone = run_sweep(_tiny_spec(values=(40,))).records

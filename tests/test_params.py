@@ -129,6 +129,14 @@ class TestDeriveConstants:
         with pytest.raises(DegenerateLevelsError, match="order"):
             derive_constants(sub0, sub1)
 
+    def test_out_of_order_variances_rejected(self):
+        # subchannel-0 variance swing larger than subchannel-1's: the sums
+        # leave level order, and the detector's region-to-bit map with them
+        sub0 = SubchannelParams(1e-3, 2e-2, 1e-10, 30e-10)
+        sub1 = SubchannelParams(5e-2, 1e-1, 10e-10, 20e-10)
+        with pytest.raises(DegenerateLevelsError, match="variances out of level order"):
+            derive_constants(sub0, sub1)
+
     def test_coincident_variances_rejected(self):
         sub0 = SubchannelParams(0.0, 1.0, 1.0, 2.0)
         sub1 = SubchannelParams(0.0, 3.0, 2.0, 3.0)
