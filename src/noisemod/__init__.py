@@ -23,9 +23,8 @@ from .detect import (
     BlockEstimates,
     ThresholdBank,
     ThresholdMode,
-    detect_mean_bits,
+    detect_bits,
     detect_symbol,
-    detect_var_bits,
     estimate,
     threshold_bank,
 )
@@ -42,7 +41,17 @@ from .harness import (
     stable_stream_id,
     wilson_interval,
 )
-from .modem import NoiseSource, SampleBlock, Scheme, SymbolBits, awgn, modulate, select_state
+from .modem import (
+    NoiseSource,
+    SampleBlock,
+    Scheme,
+    SchemeTable,
+    SymbolBits,
+    awgn,
+    modulate,
+    scheme_table,
+    select_state,
+)
 from .params import (
     ChannelConfig,
     ConfigError,
@@ -50,11 +59,9 @@ from .params import (
     DEFAULT_SAMPLES_PER_SYMBOL,
     DEFAULT_SCHEME,
     DegenerateLevelsError,
-    DerivedConstants,
     Mode,
     SchemeConfig,
     SubchannelParams,
-    derive_constants,
     derive_subchannels,
     load_config,
 )
@@ -70,7 +77,6 @@ __all__ = [
     "DEFAULT_SAMPLES_PER_SYMBOL",
     "DEFAULT_SCHEME",
     "DegenerateLevelsError",
-    "DerivedConstants",
     "DistinguishabilityReport",
     "Fairness",
     "MeanConditionResult",
@@ -80,6 +86,7 @@ __all__ = [
     "SampleBlock",
     "Scheme",
     "SchemeConfig",
+    "SchemeTable",
     "SpreadFormula",
     "SubchannelParams",
     "SweepResult",
@@ -94,11 +101,9 @@ __all__ = [
     "check_mean_condition",
     "check_variance_condition",
     "chi_square_moment",
-    "derive_constants",
     "derive_subchannels",
-    "detect_mean_bits",
+    "detect_bits",
     "detect_symbol",
-    "detect_var_bits",
     "emit",
     "estimate",
     "load_config",
@@ -106,6 +111,7 @@ __all__ = [
     "run_point",
     "run_sweep",
     "sample_variance_spread",
+    "scheme_table",
     "select_state",
     "stable_stream_id",
     "threshold_bank",

@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .params import DerivedConstants, SchemeConfig, derive_constants, derive_subchannels
+from .modem import Scheme, SchemeTable, scheme_table
+from .params import SchemeConfig, derive_subchannels
 
 
 class SpreadFormula(Enum):
@@ -91,14 +92,14 @@ class MeanConditionResult:
 
 
 def check_mean_condition(
-    constants: DerivedConstants,
+    table: SchemeTable,
     config: SchemeConfig,
     margin_factor: float = 1.0,
 ) -> MeanConditionResult:
     """Check that adjacent mean levels separate beyond the component spread."""
-    gaps = [b - a for a, b in zip(constants.means, constants.means[1:])]
+    gaps = [b - a for a, b in zip(table.means, table.means[1:])]
     lhs = min(gaps)
-    rhs = 6.0 * math.sqrt(constants.variances[-1])
+    rhs = 6.0 * math.sqrt(table.variances[-1])
     ratio = _ratio(lhs, rhs)
     literal = derive_subchannels(config)[0].m_H
     return MeanConditionResult(
@@ -125,7 +126,7 @@ class VariancePairCheck:
 
 
 def check_variance_condition(
-    constants: DerivedConstants,
+    table: SchemeTable,
     n: int,
     formula: SpreadFormula = SpreadFormula.CHI_SQUARE,
     margin_factor: float = 1.0,
@@ -137,18 +138,18 @@ def check_variance_condition(
     binding one; all three are therefore reported.
     """
     sds = []
-    for v in constants.variances:
+    for v in table.variances:
         est_var = sample_variance_spread(v, n, formula)
         sds.append(math.sqrt(est_var) if est_var >= 0.0 else math.nan)
     out = []
     for f in range(3):
-        gap = constants.variances[f + 1] - constants.variances[f]
+        gap = table.variances[f + 1] - table.variances[f]
         spread = 3.0 * sds[f] + 3.0 * sds[f + 1]
         ratio = _ratio(gap, spread)
         out.append(
             VariancePairCheck(
-                level_low=constants.variances[f],
-                level_high=constants.variances[f + 1],
+                level_low=table.variances[f],
+                level_high=table.variances[f + 1],
                 gap=gap,
                 spread=spread,
                 ratio=ratio,
@@ -206,10 +207,9 @@ def build_report(
     margin_factor: float = 1.0,
 ) -> DistinguishabilityReport:
     """Evaluate both distinguishability conditions for one configuration."""
-    sub0, sub1 = derive_subchannels(config)
-    constants = derive_constants(sub0, sub1)
-    mean_res = check_mean_condition(constants, config, margin_factor)
-    pairs = check_variance_condition(constants, n, formula, margin_factor)
+    table = scheme_table(Scheme.CGQNM, *derive_subchannels(config))
+    mean_res = check_mean_condition(table, config, margin_factor)
+    pairs = check_variance_condition(table, n, formula, margin_factor)
     warnings = []
     if formula is SpreadFormula.FOURTH_MOMENT:
         warnings.append(

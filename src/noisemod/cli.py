@@ -15,9 +15,9 @@ import math
 import sys
 
 from .analysis import SpreadFormula, build_report
-from .detect import ThresholdMode, threshold_bank
+from .detect import ThresholdMode
 from .harness import Fairness, SweepSpec, SweepVariable, emit, run_sweep
-from .modem import Scheme
+from .modem import Scheme, scheme_table
 from .params import (
     ChannelConfig,
     ConfigError,
@@ -25,7 +25,6 @@ from .params import (
     DEFAULT_SAMPLES_PER_SYMBOL,
     DEFAULT_SCHEME,
     DegenerateLevelsError,
-    derive_constants,
     derive_subchannels,
     load_config,
 )
@@ -38,33 +37,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _parse_int_range(text: str) -> list[int]:
+def _parse_range(text: str, kind: type) -> list:
+    """A scalar or an inclusive A:B:STEP range of `kind` (int or float)."""
     parts = text.split(":")
     try:
-        if len(parts) == 1:
-            return [int(text)]
-        if len(parts) != 3:
+        if len(parts) not in (1, 3):
             raise ValueError
-        a, b, step = (int(p) for p in parts)
+        values = [kind(p) for p in parts]
     except ValueError:
-        raise ConfigError(f"expected INT or A:B:STEP, got {text!r}") from None
+        raise ConfigError(f"expected {kind.__name__.upper()} or A:B:STEP, got {text!r}") from None
+    if kind is float and not all(map(math.isfinite, values)):
+        raise ConfigError(f"bad range {text!r}: A, B and STEP must be finite")
+    if len(values) == 1:
+        return values
+    a, b, step = values
     if step <= 0 or b < a:
         raise ConfigError(f"bad range {text!r}: need A <= B and STEP > 0")
-    return list(range(a, b + 1, step))
-
-
-def _parse_float_range(text: str) -> list[float]:
-    parts = text.split(":")
-    try:
-        if len(parts) == 1:
-            return [float(text)]
-        if len(parts) != 3:
-            raise ValueError
-        a, b, step = (float(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"expected FLOAT or A:B:STEP, got {text!r}") from None
-    if step <= 0 or b < a:
-        raise ConfigError(f"bad range {text!r}: need A <= B and STEP > 0")
+    if kind is int:
+        return list(range(a, b + 1, step))
     count = int(math.floor((b - a) / step + 1e-9)) + 1
     return [a + i * step for i in range(count)]
 
@@ -87,9 +77,9 @@ def cmd_simulate(args) -> int:
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     scheme_config, channel, n_default = _load(args)
-    n_values = _parse_int_range(args.n) if args.n is not None else [n_default]
+    n_values = _parse_range(args.n, int) if args.n is not None else [n_default]
     sw_values = (
-        _parse_float_range(args.sigma_w) if args.sigma_w is not None else [channel.sigma_w]
+        _parse_range(args.sigma_w, float) if args.sigma_w is not None else [channel.sigma_w]
     )
     if len(n_values) > 1 and len(sw_values) > 1:
         raise ConfigError("sweep one variable at a time (--n and --sigma-w are both ranges)")
@@ -111,9 +101,8 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
         fairness=Fairness(args.fairness),
         threshold_mode=ThresholdMode(args.threshold_mode),
-        variance_formula=SpreadFormula(args.variance_formula),
     )
-    _preflight_note(spec)
+    _preflight_note(spec, SpreadFormula(args.variance_formula))
     result = run_sweep(spec, workers=args.workers)
     for failure in result.failures:
         print(
@@ -127,14 +116,14 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _preflight_note(spec: SweepSpec) -> None:
+def _preflight_note(spec: SweepSpec, formula: SpreadFormula) -> None:
     """Warn (stderr) when the worst-case swept N leaves margins unsatisfied."""
     if spec.variable is SweepVariable.SAMPLES_N:
         n_worst = int(spec.values[0])
     else:
         n_worst = spec.n
     try:
-        report = build_report(spec.scheme_config, n_worst, spec.variance_formula)
+        report = build_report(spec.scheme_config, n_worst, formula)
     except (ConfigError, DegenerateLevelsError):
         return  # the sweep itself will surface this per cell
     if not report.satisfied:
@@ -143,7 +132,7 @@ def _preflight_note(spec: SweepSpec) -> None:
         worst = min(finite) if finite else math.nan
         print(
             f"note: distinguishability margins unsatisfied at N={n_worst} "
-            f"({spec.variance_formula.value} formula): min ratio {worst:.3g}",
+            f"({formula.value} formula): min ratio {worst:.3g}",
             file=sys.stderr,
         )
 
@@ -179,43 +168,40 @@ def cmd_check(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    scheme_config, channel, _ = _load(args)
+    scheme_config, _, _ = _load(args)
     sub0, sub1 = derive_subchannels(scheme_config)
-    constants = derive_constants(sub0, sub1)
-    banks = {
-        scheme.value: threshold_bank(scheme, sub0, sub1, sigma_w=channel.sigma_w)
-        for scheme in Scheme
-    }
+    tables = {scheme.value: scheme_table(scheme, sub0, sub1) for scheme in Scheme}
+    composite = tables[Scheme.CGQNM.value]
     if args.json:
         payload = {
             "sub0": {"m_L": sub0.m_L, "m_H": sub0.m_H, "var_0": sub0.var_0, "var_1": sub0.var_1},
             "sub1": {"m_L": sub1.m_L, "m_H": sub1.m_H, "var_0": sub1.var_0, "var_1": sub1.var_1},
-            "means": list(constants.means),
-            "variances": list(constants.variances),
-            "mean_thresholds": list(constants.mean_thresholds),
-            "var_thresholds": list(constants.var_thresholds),
+            "means": list(composite.means),
+            "variances": list(composite.variances),
+            "mean_thresholds": list(composite.mean_thresholds),
+            "var_thresholds": list(composite.var_thresholds),
             "banks": {
                 name: {
-                    "mean_thresholds": list(bank.mean_thresholds),
-                    "var_thresholds": list(bank.var_thresholds),
+                    "mean_thresholds": list(table.mean_thresholds),
+                    "var_thresholds": list(table.var_thresholds),
                 }
-                for name, bank in banks.items()
+                for name, table in tables.items()
             },
         }
         print(json.dumps(payload, indent=2))
         return 0
     print(f"sub0: m_L={sub0.m_L:.6g}  m_H={sub0.m_H:.6g}  var_0={sub0.var_0:.6g}  var_1={sub0.var_1:.6g}")
     print(f"sub1: m_L={sub1.m_L:.6g}  m_H={sub1.m_H:.6g}  var_0={sub1.var_0:.6g}  var_1={sub1.var_1:.6g}")
-    print("composite means      " + "  ".join(f"{m:.6g}" for m in constants.means))
-    print("composite variances  " + "  ".join(f"{v:.6g}" for v in constants.variances))
-    print("mean thresholds      " + "  ".join(f"{t:.6g}" for t in constants.mean_thresholds))
-    print("var thresholds       " + "  ".join(f"{t:.6g}" for t in constants.var_thresholds))
+    print("composite means      " + "  ".join(f"{m:.6g}" for m in composite.means))
+    print("composite variances  " + "  ".join(f"{v:.6g}" for v in composite.variances))
+    print("mean thresholds      " + "  ".join(f"{t:.6g}" for t in composite.mean_thresholds))
+    print("var thresholds       " + "  ".join(f"{t:.6g}" for t in composite.var_thresholds))
     for name in ("gqnm", "kljn"):
-        bank = banks[name]
+        table = tables[name]
         mean_part = (
-            "  ".join(f"{t:.6g}" for t in bank.mean_thresholds) if bank.mean_thresholds else "-"
+            "  ".join(f"{t:.6g}" for t in table.mean_thresholds) if table.mean_thresholds else "-"
         )
-        var_part = "  ".join(f"{t:.6g}" for t in bank.var_thresholds)
+        var_part = "  ".join(f"{t:.6g}" for t in table.var_thresholds)
         print(f"{name} thresholds: mean {mean_part}  var {var_part}")
     return 0
 

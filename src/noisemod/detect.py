@@ -8,8 +8,8 @@ from enum import Enum
 
 import numpy as np
 
-from .modem import SampleBlock, Scheme, SymbolBits
-from .params import SubchannelParams, derive_constants
+from .modem import SampleBlock, Scheme, SchemeTable, SymbolBits, scheme_table
+from .params import SubchannelParams
 
 
 @dataclass(frozen=True)
@@ -27,34 +27,30 @@ class ThresholdMode(Enum):
 
 @dataclass(frozen=True)
 class ThresholdBank:
-    """Ascending decision thresholds for one scheme.
+    """A scheme's detector thresholds at one channel noise level.
 
-    CGQNM uses 3 mean + 3 variance thresholds, GQNM one of each, KLJN a
-    single variance threshold.  In noise-adjusted mode the variance
-    thresholds are shifted up by sigma_w2 before comparison (the mean is
-    unaffected by zero-mean channel noise).
+    The thresholds are the scheme table's midpoints.  In noise-adjusted
+    mode the variance thresholds are shifted up by sigma_w2 before
+    comparison (the mean is unaffected by zero-mean channel noise).
     """
 
-    mean_thresholds: tuple[float, ...]
-    var_thresholds: tuple[float, ...]
+    table: SchemeTable
     noise_adjust: ThresholdMode = ThresholdMode.NOISE_ADJUSTED
     sigma_w2: float = 0.0
 
     def __post_init__(self):
-        for label, values in (("mean", self.mean_thresholds), ("var", self.var_thresholds)):
-            if any(b <= a for a, b in zip(values, values[1:])):
-                raise ValueError(f"{label} thresholds must be strictly ascending: {values!r}")
         if self.sigma_w2 < 0.0:
             raise ValueError("sigma_w2 must be >= 0")
 
     @property
+    def mean_thresholds(self) -> tuple[float, ...]:
+        return self.table.mean_thresholds
+
+    @property
     def effective_var_thresholds(self) -> tuple[float, ...]:
         if self.noise_adjust is ThresholdMode.NOISE_ADJUSTED and self.sigma_w2 > 0.0:
-            return tuple(t + self.sigma_w2 for t in self.var_thresholds)
-        return self.var_thresholds
-
-
-_BANK_ARITY = {Scheme.CGQNM: (3, 3), Scheme.GQNM: (1, 1), Scheme.KLJN: (0, 1)}
+            return tuple(t + self.sigma_w2 for t in self.table.var_thresholds)
+        return self.table.var_thresholds
 
 
 def threshold_bank(
@@ -66,14 +62,7 @@ def threshold_bank(
     sigma_w: float = 0.0,
 ) -> ThresholdBank:
     """Build the detector thresholds for a scheme from subchannel parameters."""
-    sw2 = sigma_w * sigma_w
-    if scheme is Scheme.CGQNM:
-        constants = derive_constants(sub0, sub1)
-        return ThresholdBank(constants.mean_thresholds, constants.var_thresholds, mode, sw2)
-    var_mid = ((sub0.var_0 + sub0.var_1) / 2.0,)
-    if scheme is Scheme.GQNM:
-        return ThresholdBank(((sub0.m_L + sub0.m_H) / 2.0,), var_mid, mode, sw2)
-    return ThresholdBank((), var_mid, mode, sw2)
+    return ThresholdBank(scheme_table(scheme, sub0, sub1), mode, sigma_w * sigma_w)
 
 
 def estimate(block: SampleBlock, bessel: bool = False) -> BlockEstimates:
@@ -82,42 +71,24 @@ def estimate(block: SampleBlock, bessel: bool = False) -> BlockEstimates:
     return BlockEstimates(float(x.mean()), float(x.var(ddof=1 if bessel else 0)))
 
 
-# Region index -> bit pair, in ascending threshold order.
-_REGION_BITS = ((0, 0), (1, 0), (0, 1), (1, 1))
-
-
-def detect_mean_bits(mean_hat: float, bank: ThresholdBank) -> tuple[int, int]:
-    """Recover the two mean bits from a block's sample mean.
+def detect_bits(mean_hat: float, var_hat: float, bank: ThresholdBank) -> tuple[int, ...]:
+    """The symbol bits of the regions a sample mean and variance fall in.
 
     A value equal to a threshold resolves to the upper region.
     """
-    if len(bank.mean_thresholds) != 3:
-        raise ValueError("mean-bit detection needs a 3-threshold bank")
-    return _REGION_BITS[bisect_right(bank.mean_thresholds, mean_hat)]
-
-
-def detect_var_bits(var_hat: float, bank: ThresholdBank) -> tuple[int, int]:
-    """Recover the two variance bits from a block's sample variance."""
-    if len(bank.var_thresholds) != 3:
-        raise ValueError("variance-bit detection needs a 3-threshold bank")
-    return _REGION_BITS[bisect_right(bank.effective_var_thresholds, var_hat)]
+    return bank.table.bits_of(
+        bisect_right(bank.mean_thresholds, mean_hat),
+        bisect_right(bank.effective_var_thresholds, var_hat),
+    )
 
 
 def detect_symbol(block: SampleBlock, scheme: Scheme, bank: ThresholdBank) -> SymbolBits:
     """Detect one symbol's bits from its sample block."""
-    arity = (len(bank.mean_thresholds), len(bank.var_thresholds))
-    if arity != _BANK_ARITY[scheme]:
+    table = bank.table
+    if table.scheme is not scheme:
+        arity = (len(table.mean_thresholds), len(table.var_thresholds))
         raise ValueError(
-            f"threshold bank arity {arity} does not match scheme {scheme.value} "
-            f"(expected {_BANK_ARITY[scheme]})"
+            f"threshold bank arity {arity} is {table.scheme.value}'s, not {scheme.value}'s"
         )
     est = estimate(block)
-    if scheme is Scheme.CGQNM:
-        b00, b01 = detect_mean_bits(est.mean_hat, bank)
-        b10, b11 = detect_var_bits(est.var_hat, bank)
-        return SymbolBits(scheme, (b00, b10, b01, b11))
-    b1 = bisect_right(bank.effective_var_thresholds, est.var_hat)
-    if scheme is Scheme.GQNM:
-        b0 = bisect_right(bank.mean_thresholds, est.mean_hat)
-        return SymbolBits(scheme, (b0, b1))
-    return SymbolBits(scheme, (b1,))
+    return SymbolBits(scheme, detect_bits(est.mean_hat, est.var_hat, bank))

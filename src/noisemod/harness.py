@@ -19,7 +19,6 @@ from enum import Enum
 
 import numpy as np
 
-from .analysis import SpreadFormula
 from .detect import ThresholdMode, threshold_bank
 from .modem import NoiseSource, Scheme
 from .params import ChannelConfig, Mode, SchemeConfig, derive_subchannels
@@ -78,57 +77,38 @@ def wilson_interval(errors: int, bits: int, z: float = WILSON_Z) -> tuple[float,
     return max(0.0, min(center - half, p)), min(1.0, max(center + half, p))
 
 
-def _state_tables(scheme, sub0, sub1):
-    """Level lookup tables (means, standard deviations) indexed by bit value."""
-    if scheme is Scheme.CGQNM:
-        means = np.array([
-            sub0.m_L + sub1.m_L,
-            sub0.m_H + sub1.m_L,
-            sub0.m_L + sub1.m_H,
-            sub0.m_H + sub1.m_H,
-        ])
-        variances = np.array([
-            sub0.var_0 + sub1.var_0,
-            sub0.var_1 + sub1.var_0,
-            sub0.var_0 + sub1.var_1,
-            sub0.var_1 + sub1.var_1,
-        ])
-    elif scheme is Scheme.GQNM:
-        means = np.array([sub0.m_L, sub0.m_H])
-        variances = np.array([sub0.var_0, sub0.var_1])
-    else:
-        means = np.zeros(2)
-        variances = np.array([sub0.var_0, sub0.var_1])
-    return means, np.sqrt(variances)
+# Set bits of every index value up to 255: the bit errors in `sent ^ detected`.
+_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 
 
-def _symbol_states(scheme, bits, mean_table, sigma_table):
-    if scheme is Scheme.CGQNM:
-        return (
-            mean_table[bits[:, 0] + 2 * bits[:, 2]],
-            sigma_table[bits[:, 1] + 2 * bits[:, 3]],
-        )
-    if scheme is Scheme.GQNM:
-        return mean_table[bits[:, 0]], sigma_table[bits[:, 1]]
-    return mean_table[bits[:, 0]], sigma_table[bits[:, 0]]
+def _symbol_states(table, bits):
+    """Sent (mean, variance) level indices and (mean, sigma) state of each row of bits."""
+    mean_index, var_index = table.indices(bits)
+    means = np.asarray(table.means)[mean_index]
+    sigmas = np.sqrt(np.asarray(table.variances))[var_index]
+    return mean_index, var_index, means, sigmas
 
 
-def _detect_bits(scheme, mean_hat, var_hat, mean_th, var_th):
-    """Vectorized threshold detection; ties resolve to the upper region."""
-    out = np.empty((mean_hat.size, scheme.bits_per_symbol), dtype=np.int8)
-    vidx = np.searchsorted(var_th, var_hat, side="right")
-    if scheme is Scheme.CGQNM:
-        midx = np.searchsorted(mean_th, mean_hat, side="right")
-        out[:, 0] = midx & 1
-        out[:, 1] = vidx & 1
-        out[:, 2] = midx >> 1
-        out[:, 3] = vidx >> 1
-    elif scheme is Scheme.GQNM:
-        out[:, 0] = np.searchsorted(mean_th, mean_hat, side="right")
-        out[:, 1] = vidx
-    else:
-        out[:, 0] = vidx
-    return out
+def _region_index(values, thresholds):
+    """Detected level index of each value: the number of ascending thresholds
+    at or below it, so a tie goes to the upper region.
+
+    This is searchsorted(thresholds, values, side="right") for non-NaN
+    values; one compare per threshold costs a tenth of the binary search
+    and nothing at all for a level set without thresholds (KLJN's mean).
+    """
+    return sum((values >= t).view(np.int8) for t in thresholds)
+
+
+def _detect_bits(mean_index, var_index, mean_hat, var_hat, mean_th, var_th):
+    """Bit errors of vectorized threshold detection.
+
+    Every symbol bit belongs to exactly one level index, so the bits in
+    error are the set bits of `sent index ^ detected index`.
+    """
+    mean_wrong = mean_index ^ _region_index(mean_hat, mean_th)
+    var_wrong = var_index ^ _region_index(var_hat, var_th)
+    return int(_POPCOUNT[mean_wrong].sum() + _POPCOUNT[var_wrong].sum())
 
 
 def compute_moments(gen, sigmas, n, sigma_w):
@@ -171,9 +151,8 @@ def run_point(
         raise ValueError("n >= 2 required")
     sub0, sub1 = derive_subchannels(config)
     bank = threshold_bank(scheme, sub0, sub1, mode=threshold_mode, sigma_w=channel.sigma_w)
-    mean_table, sigma_table = _state_tables(scheme, sub0, sub1)
-    mean_th = np.asarray(bank.mean_thresholds)
-    var_th = np.asarray(bank.effective_var_thresholds)
+    mean_th = bank.mean_thresholds
+    var_th = bank.effective_var_thresholds
     bps = scheme.bits_per_symbol
     total_symbols = -(-min_bits // bps)
     gen = rng.generator
@@ -183,10 +162,9 @@ def run_point(
     while done < total_symbols:
         n_sym = min(CHUNK_SYMBOLS, total_symbols - done)
         bits = gen.integers(0, 2, size=(n_sym, bps), dtype=np.int8)
-        m_sym, s_sym = _symbol_states(scheme, bits, mean_table, sigma_table)
+        mean_index, var_index, m_sym, s_sym = _symbol_states(bank.table, bits)
         mean_dev, var_hat = compute_moments(gen, s_sym, n, sigma_w)
-        detected = _detect_bits(scheme, m_sym + mean_dev, var_hat, mean_th, var_th)
-        errors += int(np.count_nonzero(detected != bits))
+        errors += _detect_bits(mean_index, var_index, m_sym + mean_dev, var_hat, mean_th, var_th)
         done += n_sym
     bits_counted = total_symbols * bps
     low, high = wilson_interval(errors, bits_counted)
@@ -207,7 +185,6 @@ class SweepSpec:
     seed: int = 1
     fairness: Fairness = Fairness.PER_BIT
     threshold_mode: ThresholdMode = ThresholdMode.NOISE_ADJUSTED
-    variance_formula: SpreadFormula = SpreadFormula.CHI_SQUARE
 
     def __post_init__(self):
         if not self.values:

@@ -1,7 +1,9 @@
 """Noise modulators and the additive white Gaussian channel.
 
 Information bits select the mean and variance of a Gaussian state; a
-symbol is a block of independent samples drawn from that state.
+symbol is a block of independent samples drawn from that state.  Each
+scheme's states, bit layout and detector thresholds live in one table
+(scheme_table).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .params import SubchannelParams
+from .params import DegenerateLevelsError, SubchannelParams
 
 
 class Scheme(Enum):
@@ -84,29 +86,100 @@ class NoiseSource:
         return self._gen
 
 
+@dataclass(frozen=True)
+class SchemeTable:
+    """A scheme's level sets, its bit <-> level map and its detector thresholds.
+
+    Symbol bit mean_bits[k] is bit k of the mean level index and
+    var_bits[k] bit k of the variance level index (least significant
+    first); every symbol bit belongs to exactly one of the two indices.
+    means and variances are ascending, and the thresholds are the
+    midpoints between adjacent levels.
+    """
+
+    scheme: Scheme
+    means: tuple[float, ...]
+    variances: tuple[float, ...]
+    mean_bits: tuple[int, ...]
+    var_bits: tuple[int, ...]
+    mean_thresholds: tuple[float, ...]
+    var_thresholds: tuple[float, ...]
+
+    def indices(self, bits):
+        """(mean, variance) level indices of one symbol's bits, or of every
+        row of a (symbols x bits) array."""
+        bits = np.asarray(bits)
+        return tuple(
+            sum(bits[..., p] << k for k, p in enumerate(positions))
+            for positions in (self.mean_bits, self.var_bits)
+        )
+
+    def bits_of(self, mean_index: int, var_index: int) -> tuple[int, ...]:
+        """The symbol bits that select the given level indices."""
+        bits = [0] * self.scheme.bits_per_symbol
+        for positions, index in ((self.mean_bits, mean_index), (self.var_bits, var_index)):
+            for k, p in enumerate(positions):
+                bits[p] = index >> k & 1
+        return tuple(bits)
+
+
+def _levels(pairs) -> tuple[float, ...]:
+    """Level i sums, over subchannels k, the high value of pair k where bit
+    k of i is set and the low value where it is clear."""
+    return tuple(
+        sum((high if i >> k & 1 else low for k, (low, high) in enumerate(pairs)), 0.0)
+        for i in range(1 << len(pairs))
+    )
+
+
+def _midpoints(levels) -> tuple[float, ...]:
+    return tuple((a + b) / 2.0 for a, b in zip(levels, levels[1:]))
+
+
+def scheme_table(
+    scheme: Scheme,
+    sub0: SubchannelParams,
+    sub1: SubchannelParams | None = None,
+) -> SchemeTable:
+    """Build a scheme's table from its subchannels.
+
+    The composite sums the two subchannel outputs, with subchannel 0 on the
+    low index bit; GQNM uses subchannel 0 alone; KLJN is zero-mean with its
+    one bit choosing between subchannel 0's two variances.  Raises
+    DegenerateLevelsError if two levels coincide or a level set does not
+    ascend in index order (either way midpoint detection is meaningless).
+    """
+    if scheme is Scheme.CGQNM:
+        if sub1 is None:
+            raise ValueError("composite scheme needs both subchannels")
+        mean_subs, var_subs, mean_bits, var_bits = (sub0, sub1), (sub0, sub1), (0, 2), (1, 3)
+    elif scheme is Scheme.GQNM:
+        mean_subs, var_subs, mean_bits, var_bits = (sub0,), (sub0,), (0,), (1,)
+    else:
+        mean_subs, var_subs, mean_bits, var_bits = (), (sub0,), (), (0,)
+    means = _levels([(s.m_L, s.m_H) for s in mean_subs])
+    variances = _levels([(s.var_0, s.var_1) for s in var_subs])
+    for label, levels in (("mean", means), ("variance", variances)):
+        ordered = sorted(levels)
+        for a, b in zip(ordered, ordered[1:]):
+            if a == b:
+                raise DegenerateLevelsError(f"coincident composite {label} levels at {a!r}")
+        if any(b <= a for a, b in zip(levels, levels[1:])):
+            raise DegenerateLevelsError(f"composite {label}s out of level order: {levels!r}")
+    return SchemeTable(
+        scheme, means, variances, mean_bits, var_bits, _midpoints(means), _midpoints(variances)
+    )
+
+
 def select_state(
     bits: SymbolBits,
     sub0: SubchannelParams,
     sub1: SubchannelParams | None = None,
 ) -> tuple[float, float]:
-    """Map a symbol's bits to the (mean, variance) of its Gaussian state.
-
-    Composite symbols sum the two subchannel contributions; GQNM uses
-    subchannel 0 alone; KLJN is zero-mean with the variance bit choosing
-    between subchannel 0's two variances.
-    """
-    if bits.scheme is Scheme.CGQNM:
-        if sub1 is None:
-            raise ValueError("composite scheme needs both subchannels")
-        b00, b10, b01, b11 = bits.bits
-        mean = (sub0.m_H if b00 else sub0.m_L) + (sub1.m_H if b01 else sub1.m_L)
-        var = (sub0.var_1 if b10 else sub0.var_0) + (sub1.var_1 if b11 else sub1.var_0)
-        return mean, var
-    if bits.scheme is Scheme.GQNM:
-        b0, b1 = bits.bits
-        return (sub0.m_H if b0 else sub0.m_L), (sub0.var_1 if b1 else sub0.var_0)
-    (b1,) = bits.bits
-    return 0.0, (sub0.var_1 if b1 else sub0.var_0)
+    """Map a symbol's bits to the (mean, variance) of its Gaussian state."""
+    table = scheme_table(bits.scheme, sub0, sub1)
+    mean_index, var_index = table.indices(bits.bits)
+    return table.means[mean_index], table.variances[var_index]
 
 
 def modulate(

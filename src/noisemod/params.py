@@ -1,4 +1,4 @@
-"""Scheme configuration and the constants derived from it.
+"""Scheme configuration and the subchannels derived from it.
 
 A composite modulator is parameterized either by six scale factors
 (derived mode) or by explicit per-subchannel values (explicit mode).
@@ -8,13 +8,14 @@ Derived mode applies the scaling rules
     m_L1 = beta * m_L0         var_01 = gamma * var_00
     m_H1 = alpha * m_L1        var_11 = gamma * var_10
 
-and everything downstream (level sets, detector thresholds) is computed
-from the resulting two subchannels.
+and everything downstream (level sets, detector thresholds; see
+modem.scheme_table) is computed from the resulting two subchannels.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -25,6 +26,11 @@ class ConfigError(ValueError):
 
 class DegenerateLevelsError(ValueError):
     """Composite levels coincide or are out of order; thresholds undefined."""
+
+
+def _require_finite(name, value):
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
 class Mode(Enum):
@@ -42,6 +48,8 @@ class SubchannelParams:
     var_1: float
 
     def __post_init__(self):
+        for name in ("m_L", "m_H", "var_0", "var_1"):
+            _require_finite(name, getattr(self, name))
         if not self.m_L < self.m_H:
             raise ConfigError(
                 f"subchannel requires m_L < m_H, got m_L={self.m_L!r}, m_H={self.m_H!r}"
@@ -99,6 +107,7 @@ class SchemeConfig:
             ("eta", self.eta, 1.0),
             ("gamma", self.gamma, 1.0),
         ):
+            _require_finite(name, value)
             if not value > bound:
                 raise ConfigError(f"{name} > {bound:g} required, got {value!r}")
         if not self.alpha > self.beta:
@@ -130,22 +139,9 @@ class ChannelConfig:
     sigma_w: float
 
     def __post_init__(self):
+        _require_finite("sigma_w", self.sigma_w)
         if not self.sigma_w >= 0.0:
             raise ConfigError(f"sigma_w >= 0 required, got {self.sigma_w!r}")
-
-
-@dataclass(frozen=True)
-class DerivedConstants:
-    """The four composite means/variances and their midpoint thresholds.
-
-    Both are in level order (low/low, high/low, low/high, high/high),
-    which derive_constants requires to be ascending.
-    """
-
-    means: tuple[float, float, float, float]
-    variances: tuple[float, float, float, float]
-    mean_thresholds: tuple[float, float, float]
-    var_thresholds: tuple[float, float, float]
 
 
 def derive_subchannels(config: SchemeConfig) -> tuple[SubchannelParams, SubchannelParams]:
@@ -158,45 +154,6 @@ def derive_subchannels(config: SchemeConfig) -> tuple[SubchannelParams, Subchann
     sub0 = SubchannelParams(m_L0, config.alpha * m_L0, var_00, var_10)
     sub1 = SubchannelParams(m_L1, config.alpha * m_L1, config.gamma * var_00, config.gamma * var_10)
     return sub0, sub1
-
-
-def _midpoints(levels):
-    return tuple((a + b) / 2.0 for a, b in zip(levels, levels[1:]))
-
-
-def derive_constants(sub0: SubchannelParams, sub1: SubchannelParams) -> DerivedConstants:
-    """Compute composite level sets and detector thresholds.
-
-    Raises DegenerateLevelsError if any two means or variances coincide,
-    or if either set is not increasing in level order (either way the
-    midpoint detector would be meaningless).
-    """
-    means = (
-        sub0.m_L + sub1.m_L,
-        sub0.m_H + sub1.m_L,
-        sub0.m_L + sub1.m_H,
-        sub0.m_H + sub1.m_H,
-    )
-    variances = (
-        sub0.var_0 + sub1.var_0,
-        sub0.var_1 + sub1.var_0,
-        sub0.var_0 + sub1.var_1,
-        sub0.var_1 + sub1.var_1,
-    )
-    for label, levels in (("mean", means), ("variance", variances)):
-        ordered = sorted(levels)
-        for a, b in zip(ordered, ordered[1:]):
-            if a == b:
-                raise DegenerateLevelsError(f"coincident composite {label} levels at {a!r}")
-        # the detectors map region i back to bits (i & 1, i >> 1)
-        if any(b <= a for a, b in zip(levels, levels[1:])):
-            raise DegenerateLevelsError(f"composite {label}s out of level order: {levels!r}")
-    return DerivedConstants(
-        means=means,
-        variances=variances,
-        mean_thresholds=_midpoints(means),
-        var_thresholds=_midpoints(variances),
-    )
 
 
 # Default operating point (volts / volts^2): the reference parameter set
@@ -215,6 +172,16 @@ _SUB_KEYS = {"m_L", "m_H", "var_0", "var_1"}
 _SCALAR_KEYS = ("m_L0", "alpha", "beta", "var_00", "eta", "gamma")
 
 
+def _number(value, label) -> float:
+    """A JSON number as float; booleans (an int subclass) and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{label} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ConfigError(f"{label} must be finite, got an integer beyond float range") from None
+
+
 def _parse_sub(block, label) -> SubchannelParams:
     if not isinstance(block, dict):
         raise ConfigError(f"explicit.{label} must be an object")
@@ -224,12 +191,9 @@ def _parse_sub(block, label) -> SubchannelParams:
     missing = _SUB_KEYS - set(block)
     if missing:
         raise ConfigError(f"explicit.{label} missing keys: {', '.join(sorted(missing))}")
-    return SubchannelParams(
-        m_L=float(block["m_L"]),
-        m_H=float(block["m_H"]),
-        var_0=float(block["var_0"]),
-        var_1=float(block["var_1"]),
-    )
+    return SubchannelParams(**{
+        key: _number(block[key], f"explicit.{label}.{key}") for key in _SUB_KEYS
+    })
 
 
 def load_config(path) -> tuple[SchemeConfig, ChannelConfig, int]:
@@ -266,8 +230,9 @@ def load_config(path) -> tuple[SchemeConfig, ChannelConfig, int]:
         missing = [k for k in _SCALAR_KEYS if k not in raw]
         if missing:
             raise ConfigError(f"{path}: missing keys: {', '.join(missing)}")
-        scheme = SchemeConfig.derived(*(raw[k] for k in _SCALAR_KEYS))
-    channel = ChannelConfig(float(raw.get("sigma_w", DEFAULT_CHANNEL.sigma_w)))
+        scheme = SchemeConfig.derived(*(_number(raw[k], f"{path}: {k}") for k in _SCALAR_KEYS))
+    sigma_w = raw.get("sigma_w", DEFAULT_CHANNEL.sigma_w)
+    channel = ChannelConfig(_number(sigma_w, f"{path}: sigma_w"))
     n = raw.get("samples_per_symbol", DEFAULT_SAMPLES_PER_SYMBOL)
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise ConfigError(f"{path}: samples_per_symbol must be an integer >= 2, got {n!r}")

@@ -1,5 +1,6 @@
 """Chi-square moments, estimator spreads, and distinguishability checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,15 +8,16 @@ import pytest
 
 from noisemod import (
     DEFAULT_SCHEME,
-    DerivedConstants,
+    Scheme,
+    SchemeTable,
     SpreadFormula,
     build_report,
     check_mean_condition,
     check_variance_condition,
     chi_square_moment,
-    derive_constants,
     derive_subchannels,
     sample_variance_spread,
+    scheme_table,
 )
 from noisemod.harness import compute_moments
 
@@ -98,9 +100,16 @@ class TestSampleVarianceSpread:
         assert mc == pytest.approx(sample_variance_spread(sigma2, n), rel=3e-2)
 
 
+def hand_table(means, variances, mean_thresholds, var_thresholds):
+    """A composite table with hand-built (possibly degenerate) level sets."""
+    return SchemeTable(
+        Scheme.CGQNM, means, variances, (0, 2), (1, 3), mean_thresholds, var_thresholds
+    )
+
+
 @pytest.fixture
 def canonical_constants():
-    return derive_constants(*derive_subchannels(DEFAULT_SCHEME))
+    return scheme_table(Scheme.CGQNM, *derive_subchannels(DEFAULT_SCHEME))
 
 
 class TestMeanCondition:
@@ -114,15 +123,15 @@ class TestMeanCondition:
         assert res.satisfied
 
     def test_all_equal_means_unsatisfied(self):
-        constants = DerivedConstants((1.0, 1.0, 1.0, 1.0), (1.0, 2.0, 3.0, 4.0),
-                                     (1.0, 1.0, 1.0), (1.5, 2.5, 3.5))
+        constants = hand_table((1.0, 1.0, 1.0, 1.0), (1.0, 2.0, 3.0, 4.0),
+                               (1.0, 1.0, 1.0), (1.5, 2.5, 3.5))
         res = check_mean_condition(constants, DEFAULT_SCHEME)
         assert res.ratio == 0.0
         assert not res.satisfied
 
     def test_vanishing_spread_always_satisfied(self):
-        constants = DerivedConstants((0.0, 1.0, 2.0, 3.0), (0.0, 0.0, 0.0, 0.0),
-                                     (0.5, 1.5, 2.5), (0.0, 0.0, 0.0))
+        constants = hand_table((0.0, 1.0, 2.0, 3.0), (0.0, 0.0, 0.0, 0.0),
+                               (0.5, 1.5, 2.5), (0.0, 0.0, 0.0))
         res = check_mean_condition(constants, DEFAULT_SCHEME)
         assert res.ratio == math.inf
         assert res.satisfied
@@ -150,8 +159,8 @@ class TestVarianceCondition:
         assert pairs[1].satisfied
 
     def test_zero_gap_unsatisfied(self):
-        constants = DerivedConstants((0.0, 1.0, 2.0, 3.0), (1.0, 1.0, 2.0, 3.0),
-                                     (0.5, 1.5, 2.5), (1.0, 1.5, 2.5))
+        constants = hand_table((0.0, 1.0, 2.0, 3.0), (1.0, 1.0, 2.0, 3.0),
+                               (0.5, 1.5, 2.5), (1.0, 1.5, 2.5))
         pairs = check_variance_condition(constants, 100)
         assert pairs[0].ratio == 0.0
         assert not pairs[0].satisfied
@@ -176,11 +185,10 @@ class TestVarianceCondition:
     def test_scale_invariance(self, canonical_constants):
         base = check_variance_condition(canonical_constants, 100)
         c = 1e6
-        scaled_constants = DerivedConstants(
-            canonical_constants.means,
-            tuple(v * c for v in canonical_constants.variances),
-            canonical_constants.mean_thresholds,
-            tuple(t * c for t in canonical_constants.var_thresholds),
+        scaled_constants = dataclasses.replace(
+            canonical_constants,
+            variances=tuple(v * c for v in canonical_constants.variances),
+            var_thresholds=tuple(t * c for t in canonical_constants.var_thresholds),
         )
         scaled = check_variance_condition(scaled_constants, 100)
         np.testing.assert_allclose(

@@ -161,8 +161,27 @@ class TestSimulate:
         assert code == 1
         assert "--workers" in capsys.readouterr().err
 
-    def test_bad_range_exits_one(self, capsys):
-        assert main(["simulate", "--n", "100:40:15"]) == 1
+    def test_bad_range_exits_one(self, monkeypatch, capsys):
+        import noisemod.cli as cli
+
+        def started(*args, **kwargs):
+            raise AssertionError("a sweep was started")
+
+        monkeypatch.setattr(cli, "run_sweep", started)
+        for flag, text, message in [
+            ("--n", "100:40:15", "need A <= B and STEP > 0"),
+            ("--n", "40:100:0", "need A <= B and STEP > 0"),
+            ("--n", "40:100", "expected INT or A:B:STEP"),
+            ("--n", "4.5", "expected INT or A:B:STEP"),
+            ("--sigma-w", "3e-5:1e-5:1e-5", "need A <= B and STEP > 0"),
+            ("--sigma-w", "x", "expected FLOAT or A:B:STEP"),
+            ("--sigma-w", "0:inf:1", "must be finite"),
+            ("--sigma-w", "nan:1:1", "must be finite"),
+            ("--sigma-w", "0:1:inf", "must be finite"),
+        ]:
+            assert main(["simulate", flag, text]) == 1, text
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err, (text, err)
 
     def test_unwritable_output_exits_two(self, capsys):
         code = main([

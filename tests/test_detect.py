@@ -11,14 +11,25 @@ from noisemod import (
     Scheme,
     SymbolBits,
     ThresholdMode,
-    detect_mean_bits,
+    detect_bits,
     detect_symbol,
-    detect_var_bits,
     estimate,
     modulate,
     select_state,
     threshold_bank,
 )
+
+
+def detect_mean_bits(mean_hat, bank):
+    """(b00, b01): the composite mean bits of a one-row detection."""
+    b00, _, b01, _ = detect_bits(mean_hat, 0.0, bank)
+    return b00, b01
+
+
+def detect_var_bits(var_hat, bank):
+    """(b10, b11): the composite variance bits of a one-row detection."""
+    _, b10, _, b11 = detect_bits(0.0, var_hat, bank)
+    return b10, b11
 
 
 def _block(values):
@@ -69,10 +80,12 @@ class TestMeanBits:
         changes = sum(a != b for a, b in zip(regions, regions[1:]))
         assert changes == 3
 
-    def test_needs_three_thresholds(self, canonical_subs):
-        bank = threshold_bank(Scheme.GQNM, canonical_subs[0])
-        with pytest.raises(ValueError):
-            detect_mean_bits(0.0, bank)
+    def test_gqnm_bank_gives_one_mean_bit(self, canonical_subs):
+        # the bank's table, not the caller, fixes how many bits come back
+        sub0 = canonical_subs[0]
+        bank = threshold_bank(Scheme.GQNM, sub0)
+        assert detect_bits(sub0.m_H, 0.0, bank) == (1, 0)
+        assert detect_bits(sub0.m_L, sub0.var_1, bank) == (0, 1)
 
 
 class TestVarBits:

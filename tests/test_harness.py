@@ -23,9 +23,8 @@ from noisemod import (
     ThresholdMode,
     awgn,
     derive_subchannels,
-    detect_mean_bits,
+    detect_bits,
     detect_symbol,
-    detect_var_bits,
     emit,
     estimate,
     modulate,
@@ -114,15 +113,12 @@ class TestRunPoint:
             manual_errors = 0
             for i, (mean, _) in enumerate(states):
                 mean_hat = mean + mean_dev[i]
-                if scheme is Scheme.CGQNM:
-                    b00, b01 = detect_mean_bits(mean_hat, bank)
-                    b10, b11 = detect_var_bits(var_hat[i], bank)
-                    got = (b00, b10, b01, b11)
-                elif scheme is Scheme.GQNM:
-                    got = (bisect_right(bank.mean_thresholds, mean_hat),
-                           bisect_right(var_th, var_hat[i]))
-                else:
-                    got = (bisect_right(var_th, var_hat[i]),)
+                got = detect_bits(mean_hat, var_hat[i], bank)
+                if scheme is Scheme.GQNM:
+                    assert got == (bisect_right(bank.mean_thresholds, mean_hat),
+                                   bisect_right(var_th, var_hat[i]))
+                elif scheme is Scheme.KLJN:
+                    assert got == (bisect_right(var_th, var_hat[i]),)
                 manual_errors += int(np.sum(np.array(got) != bits[i]))
             est = run_point(
                 scheme, DEFAULT_SCHEME, ChannelConfig(sigma_w), n,
@@ -136,12 +132,25 @@ class TestRunPoint:
         vth = np.asarray(bank.effective_var_thresholds)
         means = np.array([-1.0, 2e-2, 7e-2, 0.2, 1.55e-2])
         variances = np.array([0.0, 2.4e-9, 7e-9, 2e-8, 2.3e-9])
-        out = _detect_bits(Scheme.CGQNM, means, variances, mth, vth)
         expected_mean_bits = [(0, 0), (1, 0), (0, 1), (1, 1), (1, 0)]
         expected_var_bits = [(0, 0), (1, 0), (0, 1), (1, 1), (1, 0)]
+        # the error count against every sent state is the Hamming distance
+        # between its bits and the expected detected bits (b00, b10, b01, b11)
         for i in range(5):
-            assert (out[i, 0], out[i, 2]) == expected_mean_bits[i]
-            assert (out[i, 1], out[i, 3]) == expected_var_bits[i]
+            (b00, b01), (b10, b11) = expected_mean_bits[i], expected_var_bits[i]
+            for sent_m, sent_v in itertools.product(range(4), repeat=2):
+                sent = (sent_m & 1, sent_v & 1, sent_m >> 1, sent_v >> 1)
+                hamming = sum(a != b for a, b in zip(sent, (b00, b10, b01, b11)))
+                errors = _detect_bits(
+                    np.array([sent_m]), np.array([sent_v]), means[i:i + 1],
+                    variances[i:i + 1], mth, vth,
+                )
+                assert errors == hamming
+        # all rows at once: every row sent as level pair (0, 0)
+        zeros = np.zeros(5, dtype=np.int8)
+        assert _detect_bits(zeros, zeros, means, variances, mth, vth) == sum(
+            sum(m) + sum(v) for m, v in zip(expected_mean_bits, expected_var_bits)
+        )
 
 
 class TestSamplerAgreement:

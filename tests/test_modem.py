@@ -11,6 +11,7 @@ from noisemod import (
     SymbolBits,
     awgn,
     modulate,
+    scheme_table,
     select_state,
 )
 
@@ -72,6 +73,34 @@ class TestSelectState:
             assert state == (mean_levels[b00 + 2 * b01], var_levels[b10 + 2 * b11])
             seen.add(state)
         assert len(seen) == 16
+
+
+class TestSchemeTable:
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_bit_positions_are_a_permutation(self, canonical_subs, scheme):
+        table = scheme_table(scheme, *canonical_subs)
+        assert sorted(table.mean_bits + table.var_bits) == list(range(scheme.bits_per_symbol))
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_indices_and_bits_invert_each_other(self, canonical_subs, scheme):
+        table = scheme_table(scheme, *canonical_subs)
+        patterns = list(itertools.product((0, 1), repeat=scheme.bits_per_symbol))
+        for pattern in patterns:
+            assert table.bits_of(*table.indices(pattern)) == pattern
+        # the array form gives every row's indices at once
+        rows = np.array(patterns, dtype=np.int8)
+        mean_index, var_index = table.indices(rows)
+        assert [tuple(map(int, table.indices(p))) for p in patterns] == list(
+            zip(np.broadcast_to(mean_index, len(patterns)).tolist(), var_index.tolist())
+        )
+
+    def test_level_counts(self, canonical_subs):
+        for scheme, levels in ((Scheme.KLJN, (1, 2)), (Scheme.GQNM, (2, 2)),
+                               (Scheme.CGQNM, (4, 4))):
+            table = scheme_table(scheme, *canonical_subs)
+            assert (len(table.means), len(table.variances)) == levels
+            assert len(table.mean_thresholds) == levels[0] - 1
+            assert len(table.var_thresholds) == levels[1] - 1
 
 
 class TestModulate:

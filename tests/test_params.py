@@ -1,6 +1,7 @@
-"""Configuration validation and derived-constant tests."""
+"""Configuration validation and composite level-table tests."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,11 +12,12 @@ from noisemod import (
     DEFAULT_SCHEME,
     DegenerateLevelsError,
     Mode,
+    Scheme,
     SchemeConfig,
     SubchannelParams,
-    derive_constants,
     derive_subchannels,
     load_config,
+    scheme_table,
 )
 from pathlib import Path
 
@@ -23,7 +25,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def oracle_constants(sub0, sub1):
-    """Independent sum/sort/midpoint reference for derive_constants."""
+    """Independent sum/sort/midpoint reference for the composite scheme table."""
     means = [
         sub0.m_L + sub1.m_L,
         sub0.m_H + sub1.m_L,
@@ -85,6 +87,21 @@ class TestDeriveSubchannels:
         with pytest.raises(ConfigError, match="var_0"):
             SubchannelParams(1.0, 2.0, 0.0, 2.0)
 
+    @pytest.mark.parametrize("field", ["m_L", "m_H", "var_0", "var_1"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_subchannel_values_rejected(self, field, value):
+        values = dict(m_L=1.0, m_H=2.0, var_0=1.0, var_1=2.0)
+        values[field] = value
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            SubchannelParams(**values)
+
+    @pytest.mark.parametrize("name", ["m_L0", "alpha", "beta", "var_00", "eta", "gamma"])
+    def test_non_finite_derived_scalars_rejected(self, name):
+        base = dict(m_L0=1e-3, alpha=20.0, beta=5.0, var_00=1e-10, eta=5.0, gamma=20.0)
+        base[name] = math.inf
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            SchemeConfig.derived(**base)
+
     def test_explicit_mode_requires_both_subchannels(self):
         with pytest.raises(ConfigError, match="explicit"):
             SchemeConfig(mode=Mode.EXPLICIT, explicit_sub0=SubchannelParams(1, 2, 1, 2))
@@ -93,7 +110,7 @@ class TestDeriveSubchannels:
 class TestDeriveConstants:
     def test_reference_values_match_oracle_exactly(self, canonical_subs):
         sub0, sub1 = canonical_subs
-        got = derive_constants(sub0, sub1)
+        got = scheme_table(Scheme.CGQNM, sub0, sub1)
         means, variances, mth, vth = oracle_constants(sub0, sub1)
         assert list(got.means) == means
         assert list(got.variances) == variances
@@ -101,7 +118,7 @@ class TestDeriveConstants:
         assert list(got.var_thresholds) == vth
 
     def test_reference_values_match_decimal_literals(self, canonical_subs):
-        got = derive_constants(*canonical_subs)
+        got = scheme_table(Scheme.CGQNM, *canonical_subs)
         # decimal parsing differs from the float sums by at most 1 ulp
         np.testing.assert_allclose(got.means, [6e-3, 2.5e-2, 1.01e-1, 1.2e-1], rtol=5e-16)
         np.testing.assert_allclose(got.variances, [2.1e-9, 2.5e-9, 1.01e-8, 1.05e-8], rtol=5e-16)
@@ -111,12 +128,12 @@ class TestDeriveConstants:
     def test_symmetric_subchannels_are_degenerate(self):
         sub = SubchannelParams(1.0, 2.0, 1.0, 2.0)
         with pytest.raises(DegenerateLevelsError, match="mean"):
-            derive_constants(sub, sub)
+            scheme_table(Scheme.CGQNM, sub, sub)
 
     def test_hand_arithmetic(self):
         sub0 = SubchannelParams(0.0, 1.0, 1.0, 2.0)
         sub1 = SubchannelParams(0.0, 2.0, 3.0, 7.0)
-        got = derive_constants(sub0, sub1)
+        got = scheme_table(Scheme.CGQNM, sub0, sub1)
         assert got.means == (0.0, 1.0, 2.0, 3.0)
         assert got.variances == (4.0, 5.0, 8.0, 9.0)
         assert got.mean_thresholds == (0.5, 1.5, 2.5)
@@ -127,7 +144,7 @@ class TestDeriveConstants:
         sub0 = SubchannelParams(0.0, 10.0, 1.0, 2.0)
         sub1 = SubchannelParams(0.0, 1.0, 3.0, 7.0)
         with pytest.raises(DegenerateLevelsError, match="order"):
-            derive_constants(sub0, sub1)
+            scheme_table(Scheme.CGQNM, sub0, sub1)
 
     def test_out_of_order_variances_rejected(self):
         # subchannel-0 variance swing larger than subchannel-1's: the sums
@@ -135,17 +152,17 @@ class TestDeriveConstants:
         sub0 = SubchannelParams(1e-3, 2e-2, 1e-10, 30e-10)
         sub1 = SubchannelParams(5e-2, 1e-1, 10e-10, 20e-10)
         with pytest.raises(DegenerateLevelsError, match="variances out of level order"):
-            derive_constants(sub0, sub1)
+            scheme_table(Scheme.CGQNM, sub0, sub1)
 
     def test_coincident_variances_rejected(self):
         sub0 = SubchannelParams(0.0, 1.0, 1.0, 2.0)
         sub1 = SubchannelParams(0.0, 3.0, 2.0, 3.0)
         with pytest.raises(DegenerateLevelsError, match="variance"):
-            derive_constants(sub0, sub1)
+            scheme_table(Scheme.CGQNM, sub0, sub1)
 
     def test_pure_function(self, canonical_subs):
-        a = derive_constants(*canonical_subs)
-        b = derive_constants(*canonical_subs)
+        a = scheme_table(Scheme.CGQNM, *canonical_subs)
+        b = scheme_table(Scheme.CGQNM, *canonical_subs)
         assert a == b
 
 
@@ -164,7 +181,7 @@ class TestDerivedModeProperties:
         rng = np.random.default_rng(8112026)
         for _ in range(300):
             cfg = _random_valid_config(rng)
-            got = derive_constants(*derive_subchannels(cfg))
+            got = scheme_table(Scheme.CGQNM, *derive_subchannels(cfg))
             assert all(b > a for a, b in zip(got.means, got.means[1:]))
             assert all(b > a for a, b in zip(got.variances, got.variances[1:]))
             m1, m2, m3, m4 = got.means
@@ -177,7 +194,7 @@ class TestDerivedModeProperties:
     def test_thresholds_strictly_between_levels(self):
         rng = np.random.default_rng(20260811)
         for _ in range(300):
-            got = derive_constants(*derive_subchannels(_random_valid_config(rng)))
+            got = scheme_table(Scheme.CGQNM, *derive_subchannels(_random_valid_config(rng)))
             for levels, thresholds in (
                 (got.means, got.mean_thresholds),
                 (got.variances, got.var_thresholds),
@@ -193,6 +210,11 @@ class TestChannelConfig:
     def test_negative_noise_rejected(self):
         with pytest.raises(ConfigError, match="sigma_w"):
             ChannelConfig(-1e-6)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_noise_rejected(self, value):
+        with pytest.raises(ConfigError, match="sigma_w must be finite"):
+            ChannelConfig(value)
 
 
 class TestLoadConfig:
@@ -262,6 +284,66 @@ class TestLoadConfig:
         }))
         with pytest.raises(ConfigError, match="samples_per_symbol"):
             load_config(path)
+
+    def test_infinite_explicit_level_rejected(self, tmp_path):
+        # json reads the bare token Infinity as float("inf")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "explicit": {
+                "sub0": {"m_L": 1e-3, "m_H": math.inf, "var_0": 1e-10, "var_1": 2e-10},
+                "sub1": {"m_L": 5e-3, "m_H": 1e-1, "var_0": 5e-10, "var_1": 1e-8},
+            },
+        }))
+        assert "Infinity" in path.read_text()
+        with pytest.raises(ConfigError, match="m_H must be finite"):
+            load_config(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("m_L0", True), ("gamma", False), ("sigma_w", True), ("alpha", "20"), ("beta", None),
+    ])
+    def test_non_number_scalars_rejected(self, tmp_path, key, value):
+        raw = {"m_L0": 1e-3, "alpha": 20, "beta": 5, "var_00": 1e-10, "eta": 5, "gamma": 20}
+        raw[key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=f"{key} must be a number"):
+            load_config(path)
+
+    def test_integer_beyond_float_range_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(
+            '{"m_L0": 1' + "0" * 400 + ', "alpha": 20, "beta": 5, "var_00": 1e-10, '
+            '"eta": 5, "gamma": 20}'
+        )
+        with pytest.raises(ConfigError, match="m_L0 must be finite"):
+            load_config(path)
+
+    def test_boolean_explicit_value_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "explicit": {
+                "sub0": {"m_L": 1e-3, "m_H": 2e-2, "var_0": 1e-10, "var_1": True},
+                "sub1": {"m_L": 5e-3, "m_H": 1e-1, "var_0": 5e-10, "var_1": 1e-8},
+            },
+        }))
+        with pytest.raises(ConfigError, match="explicit.sub0.var_1 must be a number"):
+            load_config(path)
+
+    @pytest.mark.parametrize("raw", [
+        {"m_L0": True, "alpha": 20, "beta": 5, "var_00": 1e-10, "eta": 5, "gamma": 20},
+        {"explicit": {
+            "sub0": {"m_L": 1e-3, "m_H": math.inf, "var_0": 1e-10, "var_1": 2e-10},
+            "sub1": {"m_L": 5e-3, "m_H": 1e-1, "var_0": 5e-10, "var_1": 1e-8},
+        }},
+    ], ids=["boolean", "infinite"])
+    def test_bad_values_exit_one_through_cli(self, tmp_path, capsys, raw):
+        from noisemod.cli import main
+
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        code = main(["simulate", "--scheme", "gqnm", "--min-bits", "1000", "--config", str(path)])
+        assert code == 1
+        assert capsys.readouterr().out == ""
 
     def test_shipped_configs_parse(self):
         scheme, channel, n = load_config(REPO_ROOT / "configs" / "canonical.json")
