@@ -59,7 +59,6 @@ from .params import (
     DEFAULT_SAMPLES_PER_SYMBOL,
     DEFAULT_SCHEME,
     DegenerateLevelsError,
-    Mode,
     SchemeConfig,
     SubchannelParams,
     derive_subchannels,
@@ -80,7 +79,6 @@ __all__ = [
     "DistinguishabilityReport",
     "Fairness",
     "MeanConditionResult",
-    "Mode",
     "NoiseSource",
     "RunRecord",
     "SampleBlock",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .modem import Scheme, SchemeTable, scheme_table
-from .params import SchemeConfig, derive_subchannels
+from .params import SchemeConfig
 
 
 class SpreadFormula(Enum):
@@ -101,7 +101,7 @@ def check_mean_condition(
     lhs = min(gaps)
     rhs = 6.0 * math.sqrt(table.variances[-1])
     ratio = _ratio(lhs, rhs)
-    literal = derive_subchannels(config)[0].m_H
+    literal = config.sub0.m_H
     return MeanConditionResult(
         lhs_gap=lhs,
         lhs_literal=literal,
@@ -207,7 +207,9 @@ def build_report(
     margin_factor: float = 1.0,
 ) -> DistinguishabilityReport:
     """Evaluate both distinguishability conditions for one configuration."""
-    table = scheme_table(Scheme.CGQNM, *derive_subchannels(config))
+    if not (math.isfinite(margin_factor) and margin_factor > 0.0):
+        raise ValueError(f"margin factor must be finite and > 0, got {margin_factor!r}")
+    table = scheme_table(Scheme.CGQNM, config.sub0, config.sub1)
     mean_res = check_mean_condition(table, config, margin_factor)
     pairs = check_variance_condition(table, n, formula, margin_factor)
     warnings = []

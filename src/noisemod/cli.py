@@ -25,9 +25,12 @@ from .params import (
     DEFAULT_SAMPLES_PER_SYMBOL,
     DEFAULT_SCHEME,
     DegenerateLevelsError,
-    derive_subchannels,
     load_config,
 )
+
+
+# Most values one swept range may hold; checked before the range is built.
+MAX_RANGE_VALUES = 10_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,10 +56,12 @@ def _parse_range(text: str, kind: type) -> list:
     a, b, step = values
     if step <= 0 or b < a:
         raise ConfigError(f"bad range {text!r}: need A <= B and STEP > 0")
-    if kind is int:
-        return list(range(a, b + 1, step))
-    count = int(math.floor((b - a) / step + 1e-9)) + 1
-    return [a + i * step for i in range(count)]
+    span = (b - a) // step if kind is int else (b - a) / step + 1e-9
+    if span >= MAX_RANGE_VALUES:
+        raise ConfigError(
+            f"bad range {text!r}: {span + 1:.6g} values, at most {MAX_RANGE_VALUES} allowed"
+        )
+    return [a + i * step for i in range(int(span) + 1)]
 
 
 def _load(args):
@@ -169,7 +174,7 @@ def cmd_check(args) -> int:
 
 def cmd_derive(args) -> int:
     scheme_config, _, _ = _load(args)
-    sub0, sub1 = derive_subchannels(scheme_config)
+    sub0, sub1 = scheme_config.sub0, scheme_config.sub1
     tables = {scheme.value: scheme_table(scheme, sub0, sub1) for scheme in Scheme}
     composite = tables[Scheme.CGQNM.value]
     if args.json:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .detect import ThresholdMode, threshold_bank
 from .modem import NoiseSource, Scheme
-from .params import ChannelConfig, Mode, SchemeConfig, derive_subchannels
+from .params import ChannelConfig, SchemeConfig, derive_subchannels
 
 # Symbols per chunk; bounds the per-chunk bit, state and detection arrays
 # (a few MB) independently of the block length.
@@ -197,6 +197,8 @@ class SweepSpec:
             raise ValueError("at least one scheme required")
         if self.n < 2:
             raise ValueError("n >= 2 required")
+        if self.seed < 0:
+            raise ValueError(f"seed >= 0 required, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -234,16 +236,10 @@ def stable_stream_id(*parts) -> int:
 
 
 def _config_payload(config: SchemeConfig) -> dict:
-    payload = {"mode": config.mode.value}
-    if config.mode is Mode.DERIVED:
-        payload.update(
-            m_L0=config.m_L0, alpha=config.alpha, beta=config.beta,
-            var_00=config.var_00, eta=config.eta, gamma=config.gamma,
-        )
-    else:
-        for name, sub in (("sub0", config.explicit_sub0), ("sub1", config.explicit_sub1)):
-            payload[name] = [sub.m_L, sub.m_H, sub.var_0, sub.var_1]
-    return payload
+    return {
+        name: [sub.m_L, sub.m_H, sub.var_0, sub.var_1]
+        for name, sub in (("sub0", config.sub0), ("sub1", config.sub1))
+    }
 
 
 def _fingerprint(spec: SweepSpec, scheme: Scheme, index: int, n_symbol: int,

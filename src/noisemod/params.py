@@ -1,15 +1,16 @@
-"""Scheme configuration and the subchannels derived from it.
+"""Scheme configuration: the composite's two subchannels.
 
-A composite modulator is parameterized either by six scale factors
-(derived mode) or by explicit per-subchannel values (explicit mode).
-Derived mode applies the scaling rules
+A composite modulator is the sum of two GQNM subchannels.  They are given
+either directly or through six scale factors (SchemeConfig.derived), which
+apply the scaling rules
 
     m_H0 = alpha * m_L0        var_10 = eta * var_00
     m_L1 = beta * m_L0         var_01 = gamma * var_00
     m_H1 = alpha * m_L1        var_11 = gamma * var_10
 
-and everything downstream (level sets, detector thresholds; see
-modem.scheme_table) is computed from the resulting two subchannels.
+Either way the config holds only the two subchannels, and everything
+downstream (level sets, detector thresholds; see modem.scheme_table) is
+computed from them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 
 class ConfigError(ValueError):
@@ -31,11 +31,6 @@ class DegenerateLevelsError(ValueError):
 def _require_finite(name, value):
     if not math.isfinite(value):
         raise ConfigError(f"{name} must be finite, got {value!r}")
-
-
-class Mode(Enum):
-    DERIVED = "derived"
-    EXPLICIT = "explicit"
 
 
 @dataclass(frozen=True)
@@ -63,73 +58,43 @@ class SubchannelParams:
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Free parameters of the composite scheme, in one of two modes.
+    """The composite scheme's two subchannels.
 
-    Derived mode uses the six scalars; explicit mode carries both
-    subchannel parameter sets verbatim (useful when the desired values do
-    not follow the scaling rules).
+    `derived` builds them from the six scale factors; a pair that does not
+    follow the scaling rules is given directly as SchemeConfig(sub0, sub1).
     """
 
-    mode: Mode = Mode.DERIVED
-    m_L0: float | None = None
-    alpha: float | None = None
-    beta: float | None = None
-    var_00: float | None = None
-    eta: float | None = None
-    gamma: float | None = None
-    explicit_sub0: SubchannelParams | None = None
-    explicit_sub1: SubchannelParams | None = None
+    sub0: SubchannelParams
+    sub1: SubchannelParams
 
     def __post_init__(self):
-        if self.mode is Mode.DERIVED:
-            self._validate_derived()
-        else:
-            if self.explicit_sub0 is None or self.explicit_sub1 is None:
-                raise ConfigError("explicit mode requires both explicit_sub0 and explicit_sub1")
+        if not all(isinstance(sub, SubchannelParams) for sub in (self.sub0, self.sub1)):
+            raise ConfigError("a scheme config requires two SubchannelParams, sub0 and sub1")
 
-    def _validate_derived(self):
-        scalars = {
-            "m_L0": self.m_L0,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "var_00": self.var_00,
-            "eta": self.eta,
-            "gamma": self.gamma,
-        }
-        missing = [k for k, v in scalars.items() if v is None]
-        if missing:
-            raise ConfigError(f"derived mode requires {', '.join(missing)}")
+    @classmethod
+    def derived(cls, m_L0, alpha, beta, var_00, eta, gamma) -> "SchemeConfig":
+        m_L0, alpha, beta, var_00, eta, gamma = map(float, (m_L0, alpha, beta, var_00, eta, gamma))
         for name, value, bound in (
-            ("m_L0", self.m_L0, 0.0),
-            ("var_00", self.var_00, 0.0),
-            ("alpha", self.alpha, 1.0),
-            ("beta", self.beta, 1.0),
-            ("eta", self.eta, 1.0),
-            ("gamma", self.gamma, 1.0),
+            ("m_L0", m_L0, 0.0),
+            ("var_00", var_00, 0.0),
+            ("alpha", alpha, 1.0),
+            ("beta", beta, 1.0),
+            ("eta", eta, 1.0),
+            ("gamma", gamma, 1.0),
         ):
             _require_finite(name, value)
             if not value > bound:
                 raise ConfigError(f"{name} > {bound:g} required, got {value!r}")
-        if not self.alpha > self.beta:
-            raise ConfigError(f"alpha > beta required, got alpha={self.alpha!r}, beta={self.beta!r}")
-        if not self.gamma > self.eta:
-            raise ConfigError(f"gamma > eta required, got gamma={self.gamma!r}, eta={self.eta!r}")
-
-    @classmethod
-    def derived(cls, m_L0, alpha, beta, var_00, eta, gamma) -> "SchemeConfig":
+        if not alpha > beta:
+            raise ConfigError(f"alpha > beta required, got alpha={alpha!r}, beta={beta!r}")
+        if not gamma > eta:
+            raise ConfigError(f"gamma > eta required, got gamma={gamma!r}, eta={eta!r}")
+        m_L1 = beta * m_L0
+        var_10 = eta * var_00
         return cls(
-            mode=Mode.DERIVED,
-            m_L0=float(m_L0),
-            alpha=float(alpha),
-            beta=float(beta),
-            var_00=float(var_00),
-            eta=float(eta),
-            gamma=float(gamma),
+            SubchannelParams(m_L0, alpha * m_L0, var_00, var_10),
+            SubchannelParams(m_L1, alpha * m_L1, gamma * var_00, gamma * var_10),
         )
-
-    @classmethod
-    def explicit(cls, sub0: SubchannelParams, sub1: SubchannelParams) -> "SchemeConfig":
-        return cls(mode=Mode.EXPLICIT, explicit_sub0=sub0, explicit_sub1=sub1)
 
 
 @dataclass(frozen=True)
@@ -145,15 +110,8 @@ class ChannelConfig:
 
 
 def derive_subchannels(config: SchemeConfig) -> tuple[SubchannelParams, SubchannelParams]:
-    """Expand a configuration into its two subchannel parameter sets."""
-    if config.mode is Mode.EXPLICIT:
-        return config.explicit_sub0, config.explicit_sub1
-    m_L0, var_00 = config.m_L0, config.var_00
-    m_L1 = config.beta * m_L0
-    var_10 = config.eta * var_00
-    sub0 = SubchannelParams(m_L0, config.alpha * m_L0, var_00, var_10)
-    sub1 = SubchannelParams(m_L1, config.alpha * m_L1, config.gamma * var_00, config.gamma * var_10)
-    return sub0, sub1
+    """The configuration's two subchannel parameter sets."""
+    return config.sub0, config.sub1
 
 
 # Default operating point (volts / volts^2): the reference parameter set
@@ -200,8 +158,8 @@ def load_config(path) -> tuple[SchemeConfig, ChannelConfig, int]:
     """Load a JSON config file.
 
     Returns (scheme config, channel config, samples per symbol).  The file
-    either carries the six derived-mode scalars or an `explicit` block with
-    both subchannels; `sigma_w` and `samples_per_symbol` are optional and
+    either carries the six scale factors or an `explicit` block with both
+    subchannels, and both load to the same two-subchannel config; `sigma_w` and `samples_per_symbol` are optional and
     fall back to the defaults above.
     """
     with open(path) as fh:
@@ -223,7 +181,7 @@ def load_config(path) -> tuple[SchemeConfig, ChannelConfig, int]:
         block = raw["explicit"]
         if not isinstance(block, dict) or set(block) != {"sub0", "sub1"}:
             raise ConfigError(f"{path}: explicit must contain exactly sub0 and sub1")
-        scheme = SchemeConfig.explicit(
+        scheme = SchemeConfig(
             _parse_sub(block["sub0"], "sub0"), _parse_sub(block["sub1"], "sub1")
         )
     else:

@@ -220,6 +220,11 @@ class TestReport:
         assert not report.var_satisfied
         assert any("undefined" in w for w in report.warnings)
 
+    @pytest.mark.parametrize("margin_factor", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_margin_factor_rejected(self, margin_factor):
+        with pytest.raises(ValueError, match="margin factor must be finite and > 0"):
+            build_report(DEFAULT_SCHEME, 100, margin_factor=margin_factor)
+
     def test_to_dict_round_trips_enums(self):
         d = build_report(DEFAULT_SCHEME, 100).to_dict()
         assert d["formula_mode"] == "corrected"

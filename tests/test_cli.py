@@ -91,6 +91,13 @@ class TestCheck:
         assert "mean condition" in out
         assert "NOT satisfied" in out
 
+    @pytest.mark.parametrize("factor", ["nan", "inf", "0", "-1"])
+    def test_bad_margin_factor_exits_one(self, capsys, factor):
+        assert main(["check", f"--margin-factor={factor}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "margin factor must be finite and > 0" in captured.err
+
     def test_unknown_config_key_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"m_L0": 1e-3, "alhpa": 2}))
@@ -178,10 +185,30 @@ class TestSimulate:
             ("--sigma-w", "0:inf:1", "must be finite"),
             ("--sigma-w", "nan:1:1", "must be finite"),
             ("--sigma-w", "0:1:inf", "must be finite"),
+            ("--sigma-w", "0:1:1e-300", "1e+300 values, at most 10000 allowed"),
+            ("--n", "2:10000000000:1", "1e+10 values, at most 10000 allowed"),
+            ("--n", "1:10001:1", "10001 values"),
         ]:
             assert main(["simulate", flag, text]) == 1, text
             err = capsys.readouterr().err
             assert message in err and "Traceback" not in err, (text, err)
+
+    def test_range_bound_is_inclusive(self):
+        from noisemod.cli import MAX_RANGE_VALUES, _parse_range
+
+        assert len(_parse_range(f"1:{MAX_RANGE_VALUES}:1", int)) == MAX_RANGE_VALUES
+        assert len(_parse_range("0:0.9999:1e-4", float)) == MAX_RANGE_VALUES
+
+    def test_negative_seed_exits_one(self, monkeypatch, capsys):
+        import noisemod.cli as cli
+
+        def started(*args, **kwargs):
+            raise AssertionError("a sweep was started")
+
+        monkeypatch.setattr(cli, "run_sweep", started)
+        assert main(["simulate", "--scheme", "kljn", "--n", "40", "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.strip() == "error: seed >= 0 required, got -1"
 
     def test_unwritable_output_exits_two(self, capsys):
         code = main([

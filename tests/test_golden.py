@@ -24,14 +24,14 @@ DIGEST_NUMPY = "2.4.6"
 GOLDEN = [
     pytest.param(
         ["simulate", "--scheme", "all", "--n", "2:10:4", "--min-bits", "20000", "--seed", "7"],
-        "aeb75d262c956794dac2cc1647527252cdfc47ecc493d3bc2b86ebee7f242a94",
+        "813adf4fc97938823d989035509bbdd1e81fdad06e4fc97958707915964dab84",
         id="simulate-n-sweep",
     ),
     pytest.param(
         ["simulate", "--scheme", "all", "--config", LITERAL_CFG, "--n", "6",
          "--sigma-w", "0:4e-5:2e-5", "--threshold-mode", "paper",
          "--fairness", "per-symbol", "--min-bits", "20000", "--seed", "7"],
-        "9acd91aefba792f6a0d172709d8ba5e60de0759f877e368282809b7ddc853a65",
+        "cd59ecfda76c57b6b0a62454a06121228533a22c3f6b63078dac4f0acfbd4c24",
         id="simulate-sigma-sweep-literal",
     ),
     pytest.param(

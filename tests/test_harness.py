@@ -74,7 +74,7 @@ class TestRunPoint:
 
     def test_degenerate_config_propagates(self):
         sub = SubchannelParams(1.0, 2.0, 1.0, 2.0)
-        cfg = SchemeConfig.explicit(sub, sub)
+        cfg = SchemeConfig(sub, sub)
         with pytest.raises(DegenerateLevelsError):
             run_point(Scheme.CGQNM, cfg, ChannelConfig(0.0), 100, 1000, NoiseSource(1))
 
@@ -308,6 +308,8 @@ class TestRunSweep:
             _tiny_spec(min_bits=10)
         with pytest.raises(ValueError, match="non-empty"):
             _tiny_spec(values=())
+        with pytest.raises(ValueError, match="seed >= 0 required"):
+            _tiny_spec(seed=-1)
 
 
 class TestEmit:

@@ -1,17 +1,19 @@
 """Configuration validation and composite level-table tests."""
 
+import dataclasses
 import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from noisemod import (
     ChannelConfig,
     ConfigError,
     DEFAULT_SCHEME,
     DegenerateLevelsError,
-    Mode,
     Scheme,
     SchemeConfig,
     SubchannelParams,
@@ -57,7 +59,7 @@ class TestDeriveSubchannels:
     def test_explicit_mode_passthrough(self):
         sub0 = SubchannelParams(1.0, 2.0, 1.0, 2.0)
         sub1 = SubchannelParams(0.5, 3.0, 4.0, 8.0)
-        got0, got1 = derive_subchannels(SchemeConfig.explicit(sub0, sub1))
+        got0, got1 = derive_subchannels(SchemeConfig(sub0, sub1))
         assert got0 is sub0 and got1 is sub1
 
     @pytest.mark.parametrize(
@@ -103,8 +105,11 @@ class TestDeriveSubchannels:
             SchemeConfig.derived(**base)
 
     def test_explicit_mode_requires_both_subchannels(self):
-        with pytest.raises(ConfigError, match="explicit"):
-            SchemeConfig(mode=Mode.EXPLICIT, explicit_sub0=SubchannelParams(1, 2, 1, 2))
+        sub0 = SubchannelParams(1, 2, 1, 2)
+        with pytest.raises(TypeError, match="sub1"):
+            SchemeConfig(sub0)
+        with pytest.raises(ConfigError, match="sub0 and sub1"):
+            SchemeConfig(sub0, None)
 
 
 class TestDeriveConstants:
@@ -167,34 +172,36 @@ class TestDeriveConstants:
 
 
 def _random_valid_config(rng):
+    """Random valid scale factors and the config derived from them."""
     m_L0 = 10.0 ** rng.uniform(-4, 0)
     var_00 = 10.0 ** rng.uniform(-12, 0)
     beta = rng.uniform(1.05, 10.0)
     alpha = beta * rng.uniform(1.05, 10.0)
     eta = rng.uniform(1.05, 10.0)
     gamma = eta * rng.uniform(1.05, 10.0)
-    return SchemeConfig.derived(m_L0, alpha, beta, var_00, eta, gamma)
+    scalars = dict(m_L0=m_L0, alpha=alpha, beta=beta, var_00=var_00, eta=eta, gamma=gamma)
+    return scalars, SchemeConfig.derived(**scalars)
 
 
 class TestDerivedModeProperties:
     def test_levels_increase_and_identities_hold(self):
         rng = np.random.default_rng(8112026)
         for _ in range(300):
-            cfg = _random_valid_config(rng)
+            s, cfg = _random_valid_config(rng)
             got = scheme_table(Scheme.CGQNM, *derive_subchannels(cfg))
             assert all(b > a for a, b in zip(got.means, got.means[1:]))
             assert all(b > a for a, b in zip(got.variances, got.variances[1:]))
             m1, m2, m3, m4 = got.means
             np.testing.assert_allclose(m2 - m1, m4 - m3, rtol=1e-9)
-            np.testing.assert_allclose(m2 - m1, (cfg.alpha - 1) * cfg.m_L0, rtol=1e-9)
+            np.testing.assert_allclose(m2 - m1, (s["alpha"] - 1) * s["m_L0"], rtol=1e-9)
             np.testing.assert_allclose(
-                m3 - m2, (cfg.alpha - 1) * (cfg.beta - 1) * cfg.m_L0, rtol=1e-9
+                m3 - m2, (s["alpha"] - 1) * (s["beta"] - 1) * s["m_L0"], rtol=1e-9
             )
 
     def test_thresholds_strictly_between_levels(self):
         rng = np.random.default_rng(20260811)
         for _ in range(300):
-            got = scheme_table(Scheme.CGQNM, *derive_subchannels(_random_valid_config(rng)))
+            got = scheme_table(Scheme.CGQNM, *derive_subchannels(_random_valid_config(rng)[1]))
             for levels, thresholds in (
                 (got.means, got.mean_thresholds),
                 (got.variances, got.var_thresholds),
@@ -248,8 +255,7 @@ class TestLoadConfig:
             },
         }))
         scheme, channel, _ = load_config(path)
-        assert scheme.mode is Mode.EXPLICIT
-        assert scheme.explicit_sub1.var_1 == 1e-8
+        assert scheme.sub1.var_1 == 1e-8
         assert channel.sigma_w == 0.0
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -349,5 +355,50 @@ class TestLoadConfig:
         scheme, channel, n = load_config(REPO_ROOT / "configs" / "canonical.json")
         assert scheme == DEFAULT_SCHEME and n == 100
         scheme, channel, n = load_config(REPO_ROOT / "configs" / "paper_literal.json")
-        assert scheme.mode is Mode.EXPLICIT
+        assert scheme == SchemeConfig(
+            SubchannelParams(1e-3, 2e-2, 1e-10, 1.99996164e-10),
+            SubchannelParams(5e-3, 1e-1, 5.000143210000001e-10, 1e-8),
+        )
         assert channel.sigma_w == 2e-5
+
+
+@st.composite
+def derived_scalars(draw):
+    """Valid scale factors, each ratio at least 1.05 so no composite level coincides."""
+    factor = st.floats(1.05, 10.0)
+    beta, eta = draw(factor), draw(factor)
+    return dict(
+        m_L0=10.0 ** draw(st.floats(-4.0, 0.0)),
+        alpha=beta * draw(factor),
+        beta=beta,
+        var_00=10.0 ** draw(st.floats(-12.0, -6.0)),
+        eta=eta,
+        gamma=eta * draw(factor),
+    )
+
+
+class TestConfigContract:
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(scalars=derived_scalars())
+    def test_derived_file_and_explicit_twin_are_one_config(self, scalars):
+        """A scalar file and the explicit block it derives load equal and run identical cells."""
+        from noisemod.cli import main
+
+        subs = derive_subchannels(SchemeConfig.derived(**scalars))
+        twin = {"explicit": {
+            name: dataclasses.asdict(sub) for name, sub in zip(("sub0", "sub1"), subs)
+        }}
+        schemes, csvs = [], []
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, raw in (("derived", scalars), ("explicit", twin)):
+                path, out = f"{tmp}/{name}.json", f"{tmp}/{name}.csv"
+                with open(path, "w") as fh:
+                    json.dump(raw, fh)
+                schemes.append(load_config(path)[0])
+                argv = ["simulate", "--scheme", "cgqnm", "--n", "8", "--min-bits", "1000",
+                        "--config", path, "--out", out]
+                assert main(argv) == 0
+                with open(out, "rb") as fh:
+                    csvs.append(fh.read())
+        assert schemes[0] == schemes[1] == SchemeConfig(*subs)
+        assert csvs[0] == csvs[1]
