@@ -88,19 +88,18 @@ def cmd_simulate(args) -> int:
     )
     if len(n_values) > 1 and len(sw_values) > 1:
         raise ConfigError("sweep one variable at a time (--n and --sigma-w are both ranges)")
+    channels = [ChannelConfig(sigma_w) for sigma_w in sw_values]  # checked before any cell
     if len(sw_values) > 1:
         variable, values = SweepVariable.SIGMA_W, tuple(sw_values)
-        n_fixed = n_values[0]
     else:
         variable, values = SweepVariable.SAMPLES_N, tuple(n_values)
-        n_fixed = n_values[0]
-        channel = ChannelConfig(sw_values[0])
+        channel = channels[0]
     spec = SweepSpec(
         variable=variable,
         values=values,
         scheme_config=scheme_config,
         channel=channel,
-        n=n_fixed,
+        n=n_values[0],
         schemes=_SCHEME_CHOICES[args.scheme],
         min_bits=args.min_bits,
         seed=args.seed,

@@ -13,7 +13,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -77,16 +76,11 @@ def wilson_interval(errors: int, bits: int, z: float = WILSON_Z) -> tuple[float,
     return max(0.0, min(center - half, p)), min(1.0, max(center + half, p))
 
 
-# Set bits of every index value up to 255: the bit errors in `sent ^ detected`.
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
-
-
-def _symbol_states(table, bits):
-    """Sent (mean, variance) level indices and (mean, sigma) state of each row of bits."""
-    mean_index, var_index = table.indices(bits)
-    means = np.asarray(table.means)[mean_index]
-    sigmas = np.sqrt(np.asarray(table.variances))[var_index]
-    return mean_index, var_index, means, sigmas
+def _symbol_states(table, bits, out):
+    """Sent (mean, variance) level indices of each row of bits, as the intp rows of out."""
+    for level, index in zip(out, table.indices(bits)):
+        np.copyto(level, index)
+    return out
 
 
 def _region_index(values, thresholds):
@@ -104,24 +98,34 @@ def _detect_bits(mean_index, var_index, mean_hat, var_hat, mean_th, var_th):
     """Bit errors of vectorized threshold detection.
 
     Every symbol bit belongs to exactly one level index, so the bits in
-    error are the set bits of `sent index ^ detected index`.
+    error are the set bits of `sent index ^ detected index`, counted bit by
+    bit.  A level set without thresholds sends and detects index 0 only.
     """
-    mean_wrong = mean_index ^ _region_index(mean_hat, mean_th)
-    var_wrong = var_index ^ _region_index(var_hat, var_th)
-    return int(_POPCOUNT[mean_wrong].sum() + _POPCOUNT[var_wrong].sum())
+    errors = 0
+    for sent, values, th in ((mean_index, mean_hat, mean_th), (var_index, var_hat, var_th)):
+        if len(th):
+            wrong = _region_index(values, th)
+            np.bitwise_xor(wrong, sent, out=wrong, casting="unsafe")
+            errors += sum(int(np.count_nonzero(wrong & 1 << k))
+                          for k in range(len(th).bit_length()))
+    return errors
 
 
-def compute_moments(gen, sigmas, n, sigma_w):
+def compute_moments(gen, level, n, sigma_w, sigmas, out):
     """Block mean deviation and 1/N sample variance for one chunk of symbols.
 
     For n Gaussian samples of variance s2 = sigma^2 + sigma_w^2 the block
     mean deviation is Normal(0, s2/n) and n * var_hat / s2 is independently
     chi-square(n - 1), i.e. 2 * Gamma((n - 1)/2); one normal and then one
-    gamma draw per symbol give exactly that joint law.
+    gamma draw per symbol give exactly that joint law.  sigmas[level] is each
+    symbol's sigma; the draws are scaled in place in out's first two rows.
     """
     scale = (sigmas * sigmas + sigma_w * sigma_w) / n
-    mean_dev = np.sqrt(scale) * gen.standard_normal(sigmas.size)
-    var_hat = 2.0 * scale * gen.standard_gamma((n - 1) / 2.0, sigmas.size)
+    mean_dev, var_hat, factor = out
+    gen.standard_normal(out=mean_dev)
+    mean_dev *= np.take(np.sqrt(scale), level, out=factor, mode="clip")
+    gen.standard_gamma((n - 1) / 2.0, out=var_hat)
+    var_hat *= np.take(2.0 * scale, level, out=factor, mode="clip")
     return mean_dev, var_hat
 
 
@@ -153,8 +157,13 @@ def run_point(
     bank = threshold_bank(scheme, sub0, sub1, mode=threshold_mode, sigma_w=channel.sigma_w)
     mean_th = bank.mean_thresholds
     var_th = bank.effective_var_thresholds
+    means = np.asarray(bank.table.means)
+    sigmas = np.sqrt(np.asarray(bank.table.variances))
     bps = scheme.bits_per_symbol
     total_symbols = -(-min_bits // bps)
+    # Per-cell chunk buffers (freed ones fault in again); take's "clip" mode fills out unbuffered.
+    size = min(CHUNK_SYMBOLS, total_symbols)
+    index_ws, float_ws = np.empty((2, size), dtype=np.intp), np.empty((3, size))
     gen = rng.generator
     sigma_w = channel.sigma_w
     errors = 0
@@ -162,9 +171,10 @@ def run_point(
     while done < total_symbols:
         n_sym = min(CHUNK_SYMBOLS, total_symbols - done)
         bits = gen.integers(0, 2, size=(n_sym, bps), dtype=np.int8)
-        mean_index, var_index, m_sym, s_sym = _symbol_states(bank.table, bits)
-        mean_dev, var_hat = compute_moments(gen, s_sym, n, sigma_w)
-        errors += _detect_bits(mean_index, var_index, m_sym + mean_dev, var_hat, mean_th, var_th)
+        mean_index, var_index = _symbol_states(bank.table, bits, index_ws[:, :n_sym])
+        mean_hat, var_hat = compute_moments(gen, var_index, n, sigma_w, sigmas, float_ws[:, :n_sym])
+        mean_hat += np.take(means, mean_index, out=float_ws[2, :n_sym], mode="clip")
+        errors += _detect_bits(mean_index, var_index, mean_hat, var_hat, mean_th, var_th)
         done += n_sym
     bits_counted = total_symbols * bps
     low, high = wilson_interval(errors, bits_counted)
@@ -318,6 +328,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
             except Exception as e:  # noqa: BLE001 - cell isolation by contract
                 failures.append(CellFailure(scheme, spec.values[i], str(e)))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # here, to keep it out of CLI start-up
+
         with ProcessPoolExecutor(max_workers=processes) as pool:
             futures = {(scheme, i): pool.submit(_run_cell, spec, scheme, i)
                        for scheme, i in cells}

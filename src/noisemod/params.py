@@ -107,6 +107,8 @@ class ChannelConfig:
         _require_finite("sigma_w", self.sigma_w)
         if not self.sigma_w >= 0.0:
             raise ConfigError(f"sigma_w >= 0 required, got {self.sigma_w!r}")
+        if not math.isfinite(self.sigma_w * self.sigma_w):
+            raise ConfigError(f"sigma_w^2 must be finite, got sigma_w={self.sigma_w!r}")
 
 
 def derive_subchannels(config: SchemeConfig) -> tuple[SubchannelParams, SubchannelParams]:

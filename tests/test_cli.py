@@ -1,6 +1,8 @@
 """End-to-end CLI tests run through the main() entry point."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -193,6 +195,25 @@ class TestSimulate:
             err = capsys.readouterr().err
             assert message in err and "Traceback" not in err, (text, err)
 
+    @pytest.mark.parametrize("sigma_w, message", [
+        ("1e200", "sigma_w^2 must be finite"),
+        ("-1:1:1", "sigma_w >= 0 required, got -1.0"),
+        ("0:2e200:1e200", "sigma_w^2 must be finite, got sigma_w=1e+200"),
+    ])
+    def test_bad_swept_sigma_w_exits_one(self, monkeypatch, capsys, sigma_w, message):
+        import noisemod.cli as cli
+
+        def started(*args, **kwargs):
+            raise AssertionError("a sweep was started")
+
+        # every swept value is checked before the sweep, not as a cell failure
+        monkeypatch.setattr(cli, "run_sweep", started)
+        code = main(["simulate", "--scheme", "kljn", "--n", "4", f"--sigma-w={sigma_w}",
+                     "--min-bits", "1000"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+
     def test_range_bound_is_inclusive(self):
         from noisemod.cli import MAX_RANGE_VALUES, _parse_range
 
@@ -226,3 +247,17 @@ class TestSimulate:
         ])
         assert code == 0
         assert len(out.read_text().splitlines()) == 2
+
+
+def test_import_loads_no_process_pool():
+    # a pool is started only by a sweep big enough for one; importing the
+    # CLI must not pay for multiprocessing on every start
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import noisemod.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(REPO_ROOT / "src")],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "[]"

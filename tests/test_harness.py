@@ -1,5 +1,6 @@
 """BEP engine, sweep determinism, and emission tests."""
 
+import concurrent.futures
 import itertools
 import json
 import math
@@ -34,7 +35,7 @@ from noisemod import (
     threshold_bank,
     wilson_interval,
 )
-from noisemod.harness import CSV_COLUMNS, _detect_bits, compute_moments
+from noisemod.harness import CSV_COLUMNS, BepEstimate, _detect_bits, compute_moments
 
 
 class TestWilson:
@@ -95,6 +96,43 @@ class TestRunPoint:
         assert chunked.bits == whole.bits
         assert abs(chunked.bep - whole.bep) < 6 * (whole.ci_high - whole.ci_low)
 
+    # 1000 symbols at n = 8 and sigma_w = 2e-5 from NoiseSource(2024, 3), in
+    # 64-symbol chunks (15 full and a short one of 40): the estimates of the
+    # per-symbol sampler, which every rewrite of the chunk loop must keep.
+    PINNED = {
+        Scheme.KLJN: BepEstimate(301, 1000, 0.301, 0.2733757183519434, 0.33014738728544),
+        Scheme.GQNM: BepEstimate(304, 2000, 0.152, 0.13693331160356195, 0.16840100224639507),
+        Scheme.CGQNM: BepEstimate(648, 4000, 0.162, 0.1509067672948661, 0.17374184018251257),
+    }
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_pinned_estimate_with_short_last_chunk(self, monkeypatch, scheme):
+        import noisemod.harness as hn
+
+        monkeypatch.setattr(hn, "CHUNK_SYMBOLS", 64)
+        est = run_point(
+            scheme, DEFAULT_SCHEME, ChannelConfig(2e-5), 8, 1000 * scheme.bits_per_symbol,
+            NoiseSource(2024, 3),
+        )
+        assert est == self.PINNED[scheme]
+        assert type(est.errors) is int
+
+    @pytest.mark.parametrize("sigma_w", [0.0, 2e-5])
+    @pytest.mark.parametrize("n", [2, 7])
+    def test_moments_match_per_symbol_formula(self, n, sigma_w):
+        # one level per symbol: the level tables must give the very bits of
+        # the formula applied to each symbol's own sigma
+        k = 1000
+        sigmas = np.sqrt(np.linspace(1e-10, 1e-8, k))
+        gen = NoiseSource(31, n).generator
+        scale = (sigmas * sigmas + sigma_w * sigma_w) / n
+        want_dev = np.sqrt(scale) * gen.standard_normal(k)
+        want_var = 2.0 * scale * gen.standard_gamma((n - 1) / 2.0, k)
+        dev, var_hat = compute_moments(
+            NoiseSource(31, n).generator, np.arange(k), n, sigma_w, sigmas, np.empty((3, k))
+        )
+        assert np.array_equal(dev, want_dev) and np.array_equal(var_hat, want_var)
+
     def test_matches_blockwise_reference_path(self):
         # same draws through the chunked engine and scalar per-symbol ops
         n_sym, n, sigma_w = 64, 50, 2e-5
@@ -109,7 +147,9 @@ class TestRunPoint:
                 for row in bits
             ]
             sigmas = np.sqrt([var for _, var in states])
-            mean_dev, var_hat = compute_moments(gen, sigmas, n, sigma_w)
+            mean_dev, var_hat = compute_moments(
+                gen, np.arange(n_sym), n, sigma_w, sigmas, np.empty((3, n_sym))
+            )
             manual_errors = 0
             for i, (mean, _) in enumerate(states):
                 mean_hat = mean + mean_dev[i]
@@ -151,6 +191,7 @@ class TestRunPoint:
         assert _detect_bits(zeros, zeros, means, variances, mth, vth) == sum(
             sum(m) + sum(v) for m, v in zip(expected_mean_bits, expected_var_bits)
         )
+        assert not zeros.any()  # the sent indices are read, never written
 
 
 class TestSamplerAgreement:
@@ -166,7 +207,8 @@ class TestSamplerAgreement:
         ref = [estimate(awgn(modulate(bits, (mean, var), n, rng), sigma_w, rng))
                for _ in range(k)]
         dev, var_hat = compute_moments(
-            NoiseSource(809, n).generator, np.full(k, math.sqrt(var)), n, sigma_w
+            NoiseSource(809, n).generator, np.zeros(k, np.intp), n, sigma_w,
+            np.array([math.sqrt(var)]), np.empty((3, k)),
         )
         s2 = var + sigma_w**2
         # (per-sample draws, sampler draws, law variance, law excess kurtosis):
@@ -230,14 +272,12 @@ class TestRunSweep:
             assert a.fingerprint == b.fingerprint
 
     def test_small_sweep_runs_in_process(self, monkeypatch):
-        import noisemod.harness as hn
-
         serial = run_sweep(_tiny_spec(), workers=1)
 
         def started(*args, **kwargs):
             raise AssertionError("a pool was started")
 
-        monkeypatch.setattr(hn, "ProcessPoolExecutor", started)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", started)
         pooled = run_sweep(_tiny_spec(), workers=4)
         assert [r.estimate for r in pooled.records] == [r.estimate for r in serial.records]
         assert [r.fingerprint for r in pooled.records] == [r.fingerprint for r in serial.records]
@@ -247,12 +287,12 @@ class TestRunSweep:
 
         sizes = []
 
-        class Recorder(hn.ProcessPoolExecutor):
+        class Recorder(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, max_workers):
                 sizes.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(hn, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
         monkeypatch.setattr(hn, "SYMBOLS_PER_WORKER", 1000)
         # 2 values x (1000 + 500 + 250) symbols = 3500 symbols: 3 processes, not 8
         assert len(run_sweep(_tiny_spec(), workers=8).records) == 6
@@ -265,7 +305,7 @@ class TestRunSweep:
         def started(*args, **kwargs):
             raise AssertionError("a cell or pool was started")
 
-        monkeypatch.setattr(hn, "ProcessPoolExecutor", started)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", started)
         monkeypatch.setattr(hn, "_run_cell", started)
         with pytest.raises(ValueError, match="workers"):
             run_sweep(_tiny_spec(), workers=workers)

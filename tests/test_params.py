@@ -223,6 +223,16 @@ class TestChannelConfig:
         with pytest.raises(ConfigError, match="sigma_w must be finite"):
             ChannelConfig(value)
 
+    @pytest.mark.parametrize("value", [1e155, 1e200, 1.7e308])
+    def test_overflowing_noise_power_rejected(self, value):
+        # the sampler adds sigma_w^2 to every level, so an infinite square
+        # would flatten every level into one
+        with pytest.raises(ConfigError, match=r"sigma_w\^2 must be finite"):
+            ChannelConfig(value)
+
+    def test_largest_finite_noise_power_allowed(self):
+        assert ChannelConfig(1e154).sigma_w == 1e154
+
 
 class TestLoadConfig:
     def test_derived_file(self, tmp_path):
