@@ -22,8 +22,7 @@ from .detect import ThresholdMode, threshold_bank
 from .modem import NoiseSource, Scheme
 from .params import ChannelConfig, SchemeConfig, derive_subchannels
 
-# Symbols per chunk; bounds the per-chunk bit, state and detection arrays
-# (a few MB) independently of the block length.
+# Symbols per chunk; bounds the chunk's statistic arrays (1 MB) whatever N is.
 CHUNK_SYMBOLS = 1 << 16
 
 # Least work, in symbols (~0.1 s at ~100 ns a symbol), that pays for
@@ -76,56 +75,60 @@ def wilson_interval(errors: int, bits: int, z: float = WILSON_Z) -> tuple[float,
     return max(0.0, min(center - half, p)), min(1.0, max(center + half, p))
 
 
-def _symbol_states(table, bits, out):
-    """Sent (mean, variance) level indices of each row of bits, as the intp rows of out."""
-    for level, index in zip(out, table.indices(bits)):
-        np.copyto(level, index)
-    return out
+def _symbol_states(gen, n_sym, table):
+    """Symbols sent in each state of a chunk, as counts[variance index, mean index]:
+    uniform random bits make them Multinomial(n_sym, [1/L] * L) over the L
+    states.  The chunk is laid out state by state, mean index fastest."""
+    states = len(table.variances) * len(table.means)
+    return gen.multinomial(n_sym, [1.0 / states] * states).reshape(-1, len(table.means))
 
 
-def _region_index(values, thresholds):
-    """Detected level index of each value: the number of ascending thresholds
-    at or below it, so a tie goes to the upper region.
+def _region_errors(values, thresholds, sent):
+    """Bit errors of values all sent as level index `sent`.  A value's region
+    index counts the ascending thresholds at or below it, so a tie goes up."""
+    above = [values.size, *(int(np.count_nonzero(values >= t)) for t in thresholds), 0]
+    return sum((above[r] - above[r + 1]) * (r ^ sent).bit_count() for r in range(len(above) - 1))
 
-    This is searchsorted(thresholds, values, side="right") for non-NaN
-    values; one compare per threshold costs a tenth of the binary search
-    and nothing at all for a level set without thresholds (KLJN's mean).
+
+def _detect_bits(counts, mean_dev, var_hat, mean_th, var_th):
+    """Bit errors of threshold detection over a chunk laid out state by state.
+
+    mean_dev holds deviations from the sent mean, so state (m, v) compares
+    them with mean_th[m], the mean thresholds less mean level m (None: no
+    mean bits).  Each symbol bit belongs to one level index, so errors add.
     """
-    return sum((values >= t).view(np.int8) for t in thresholds)
-
-
-def _detect_bits(mean_index, var_index, mean_hat, var_hat, mean_th, var_th):
-    """Bit errors of vectorized threshold detection.
-
-    Every symbol bit belongs to exactly one level index, so the bits in
-    error are the set bits of `sent index ^ detected index`, counted bit by
-    bit.  A level set without thresholds sends and detects index 0 only.
-    """
-    errors = 0
-    for sent, values, th in ((mean_index, mean_hat, mean_th), (var_index, var_hat, var_th)):
-        if len(th):
-            wrong = _region_index(values, th)
-            np.bitwise_xor(wrong, sent, out=wrong, casting="unsafe")
-            errors += sum(int(np.count_nonzero(wrong & 1 << k))
-                          for k in range(len(th).bit_length()))
+    errors = start = 0
+    for v, row in enumerate(counts):
+        stop = start + int(row.sum())
+        errors += _region_errors(var_hat[start:stop], var_th, v)
+        if mean_dev is not None:
+            for m, count in enumerate(row):
+                errors += _region_errors(mean_dev[start:start + count], mean_th[m], m)
+                start += count
+        start = stop
     return errors
 
 
-def compute_moments(gen, level, n, sigma_w, sigmas, out):
+def compute_moments(gen, counts, n, sigma_w, sigmas, out):
     """Block mean deviation and 1/N sample variance for one chunk of symbols.
 
     For n Gaussian samples of variance s2 = sigma^2 + sigma_w^2 the block
     mean deviation is Normal(0, s2/n) and n * var_hat / s2 is independently
     chi-square(n - 1), i.e. 2 * Gamma((n - 1)/2); one normal and then one
-    gamma draw per symbol give exactly that joint law.  sigmas[level] is each
-    symbol's sigma; the draws are scaled in place in out's first two rows.
+    gamma draw per symbol give exactly that joint law.  The chunk holds
+    counts[k] symbols of sigma sigmas[k] in turn; the draws are made and
+    scaled in place in out = (mean_dev, var_hat), and no normals for None.
     """
     scale = (sigmas * sigmas + sigma_w * sigma_w) / n
-    mean_dev, var_hat, factor = out
-    gen.standard_normal(out=mean_dev)
-    mean_dev *= np.take(np.sqrt(scale), level, out=factor, mode="clip")
+    mean_dev, var_hat = out
+    if mean_dev is not None:
+        gen.standard_normal(out=mean_dev)
     gen.standard_gamma((n - 1) / 2.0, out=var_hat)
-    var_hat *= np.take(2.0 * scale, level, out=factor, mode="clip")
+    bounds = np.cumsum(counts).tolist()
+    for start, stop, s2n in zip([0, *bounds], bounds, scale.tolist()):
+        if mean_dev is not None:
+            mean_dev[start:stop] *= math.sqrt(s2n)
+        var_hat[start:stop] *= 2.0 * s2n
     return mean_dev, var_hat
 
 
@@ -144,37 +147,32 @@ def run_point(
     Uniform random bits select symbol states, each symbol's block of n
     Gaussian samples plus channel noise is reduced to its sufficient
     statistics (see compute_moments) and detected, and errors accumulate
-    over all bit positions until at least min_bits bits are counted.  Each
-    chunk of CHUNK_SYMBOLS symbols consumes the stream in a fixed order
-    (bits, then normals, then gammas), so a given NoiseSource key fully
-    determines the estimate.
+    over all bit positions until at least min_bits bits are counted.  The
+    symbols of a chunk are exchangeable, so each chunk of CHUNK_SYMBOLS is
+    drawn state by state: the state counts, the normals (if there are mean
+    bits), then the gammas.  A NoiseSource key fixes the estimate.
     """
     if min_bits < 1:
         raise ValueError("min_bits must be >= 1")
     if n < 2:
         raise ValueError("n >= 2 required")
-    sub0, sub1 = derive_subchannels(config)
-    bank = threshold_bank(scheme, sub0, sub1, mode=threshold_mode, sigma_w=channel.sigma_w)
-    mean_th = bank.mean_thresholds
-    var_th = bank.effective_var_thresholds
-    means = np.asarray(bank.table.means)
-    sigmas = np.sqrt(np.asarray(bank.table.variances))
+    bank = threshold_bank(scheme, *derive_subchannels(config), mode=threshold_mode,
+                          sigma_w=channel.sigma_w)
+    table = bank.table
+    mean_th = [tuple(t - m for t in bank.mean_thresholds) for m in table.means]
+    var_th, has_mean_bits = bank.effective_var_thresholds, len(table.means) > 1
+    sigmas = np.sqrt(np.asarray(table.variances))
     bps = scheme.bits_per_symbol
     total_symbols = -(-min_bits // bps)
-    # Per-cell chunk buffers (freed ones fault in again); take's "clip" mode fills out unbuffered.
-    size = min(CHUNK_SYMBOLS, total_symbols)
-    index_ws, float_ws = np.empty((2, size), dtype=np.intp), np.empty((3, size))
-    gen = rng.generator
-    sigma_w = channel.sigma_w
-    errors = 0
-    done = 0
+    work = np.empty((2, min(CHUNK_SYMBOLS, total_symbols)))  # per cell: freed ones fault in again
+    gen, sigma_w = rng.generator, channel.sigma_w
+    errors = done = 0
     while done < total_symbols:
         n_sym = min(CHUNK_SYMBOLS, total_symbols - done)
-        bits = gen.integers(0, 2, size=(n_sym, bps), dtype=np.int8)
-        mean_index, var_index = _symbol_states(bank.table, bits, index_ws[:, :n_sym])
-        mean_hat, var_hat = compute_moments(gen, var_index, n, sigma_w, sigmas, float_ws[:, :n_sym])
-        mean_hat += np.take(means, mean_index, out=float_ws[2, :n_sym], mode="clip")
-        errors += _detect_bits(mean_index, var_index, mean_hat, var_hat, mean_th, var_th)
+        counts = _symbol_states(gen, n_sym, table)
+        out = (work[0, :n_sym] if has_mean_bits else None, work[1, :n_sym])
+        mean_dev, var_hat = compute_moments(gen, counts.sum(axis=1), n, sigma_w, sigmas, out)
+        errors += _detect_bits(counts, mean_dev, var_hat, mean_th, var_th)
         done += n_sym
     bits_counted = total_symbols * bps
     low, high = wilson_interval(errors, bits_counted)
@@ -266,7 +264,7 @@ def _fingerprint(spec: SweepSpec, scheme: Scheme, index: int, n_symbol: int,
         "stream_id": stream_id,
         "fairness": spec.fairness.value,
         "threshold_mode": spec.threshold_mode.value,
-        "sampler": "suffstat",
+        "sampler": "suffstat-bystate",
         "config": _config_payload(spec.scheme_config),
     }
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -326,7 +324,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
             try:
                 records[(scheme, i)] = _run_cell(spec, scheme, i)
             except Exception as e:  # noqa: BLE001 - cell isolation by contract
-                failures.append(CellFailure(scheme, spec.values[i], str(e)))
+                failures.append(CellFailure(scheme, spec.values[i], f"{type(e).__name__}: {e}"))
     else:
         from concurrent.futures import ProcessPoolExecutor  # here, to keep it out of CLI start-up
 
@@ -337,7 +335,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
                 try:
                     records[(scheme, i)] = futures[(scheme, i)].result()
                 except Exception as e:  # noqa: BLE001
-                    failures.append(CellFailure(scheme, spec.values[i], str(e)))
+                    failures.append(CellFailure(scheme, spec.values[i], f"{type(e).__name__}: {e}"))
     ordered = tuple(records[key] for key in cells if key in records)
     return SweepResult(records=ordered, failures=tuple(failures))
 

@@ -5,7 +5,8 @@ names (compute_moments, _symbol_states, _detect_bits, run_point,
 threshold_bank, derive_subchannels) for wrappers, and reads
 compute_moments's positional arguments to count the work.  A change that
 renames, inlines or reorders them still exits 0, but turns per-layer
-metrics null.  This runs one short traced sweep and checks its last line.
+metrics null.  This runs short traced sweeps and checks their last lines:
+fig5_n_sweep, with channel noise, and long_block_noiseless, with sigma_w = 0.
 """
 
 import json
@@ -22,10 +23,11 @@ def _refuse_constant(name):
     raise ValueError(f"non-JSON constant {name} in the result line")
 
 
-def test_traced_fig5_result_line_is_complete():
+@pytest.mark.parametrize("workload", ["fig5_n_sweep", "long_block_noiseless"])
+def test_traced_result_line_is_complete(workload):
     pytest.importorskip("scipy")  # the benchmark's oracle needs it
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "fig5_n_sweep",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "99", "--seconds", "0", "--trace", "1"],
         cwd=REPO_ROOT, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True, timeout=300,

@@ -3,7 +3,7 @@
 A refactor that must not change behaviour keeps every digest here.  A
 change that alters output on purpose (a new stream, a new column) updates
 the digests and says so in CHANGES.md.  Simulated bits depend on numpy's
-generator streams, so a numpy release that changes SFC64, `integers`,
+generator streams, so a numpy release that changes SFC64, `multinomial`,
 `standard_normal` or `standard_gamma` also moves the simulate digests.
 """
 
@@ -24,14 +24,14 @@ DIGEST_NUMPY = "2.4.6"
 GOLDEN = [
     pytest.param(
         ["simulate", "--scheme", "all", "--n", "2:10:4", "--min-bits", "20000", "--seed", "7"],
-        "813adf4fc97938823d989035509bbdd1e81fdad06e4fc97958707915964dab84",
+        "f3ebe15424779c546085ad4ec7e82998a6508a8f84f25b0d20bbcfb3d566e176",
         id="simulate-n-sweep",
     ),
     pytest.param(
         ["simulate", "--scheme", "all", "--config", LITERAL_CFG, "--n", "6",
          "--sigma-w", "0:4e-5:2e-5", "--threshold-mode", "paper",
          "--fairness", "per-symbol", "--min-bits", "20000", "--seed", "7"],
-        "cd59ecfda76c57b6b0a62454a06121228533a22c3f6b63078dac4f0acfbd4c24",
+        "2bb6a89e384e765235b36a241fd3fa15fabee41484bae96660b1284cd566e83d",
         id="simulate-sigma-sweep-literal",
     ),
     pytest.param(

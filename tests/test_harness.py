@@ -8,6 +8,7 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from noisemod import (
     ChannelConfig,
@@ -35,7 +36,13 @@ from noisemod import (
     threshold_bank,
     wilson_interval,
 )
-from noisemod.harness import CSV_COLUMNS, BepEstimate, _detect_bits, compute_moments
+from noisemod.harness import (
+    CSV_COLUMNS,
+    BepEstimate,
+    _detect_bits,
+    _symbol_states,
+    compute_moments,
+)
 
 
 class TestWilson:
@@ -98,11 +105,11 @@ class TestRunPoint:
 
     # 1000 symbols at n = 8 and sigma_w = 2e-5 from NoiseSource(2024, 3), in
     # 64-symbol chunks (15 full and a short one of 40): the estimates of the
-    # per-symbol sampler, which every rewrite of the chunk loop must keep.
+    # state-by-state sampler, which every rewrite of the chunk loop must keep.
     PINNED = {
-        Scheme.KLJN: BepEstimate(301, 1000, 0.301, 0.2733757183519434, 0.33014738728544),
-        Scheme.GQNM: BepEstimate(304, 2000, 0.152, 0.13693331160356195, 0.16840100224639507),
-        Scheme.CGQNM: BepEstimate(648, 4000, 0.162, 0.1509067672948661, 0.17374184018251257),
+        Scheme.KLJN: BepEstimate(296, 1000, 0.296, 0.26853048540606317, 0.32503088921718415),
+        Scheme.GQNM: BepEstimate(319, 2000, 0.1595, 0.1441080153452353, 0.17619754174071403),
+        Scheme.CGQNM: BepEstimate(664, 4000, 0.166, 0.15479064613266239, 0.17785028551658164),
     }
 
     @pytest.mark.parametrize("scheme", list(Scheme))
@@ -129,37 +136,37 @@ class TestRunPoint:
         want_dev = np.sqrt(scale) * gen.standard_normal(k)
         want_var = 2.0 * scale * gen.standard_gamma((n - 1) / 2.0, k)
         dev, var_hat = compute_moments(
-            NoiseSource(31, n).generator, np.arange(k), n, sigma_w, sigmas, np.empty((3, k))
+            NoiseSource(31, n).generator, np.ones(k, np.intp), n, sigma_w, sigmas, np.empty((2, k))
         )
         assert np.array_equal(dev, want_dev) and np.array_equal(var_hat, want_var)
 
     def test_matches_blockwise_reference_path(self):
-        # same draws through the chunked engine and scalar per-symbol ops
+        # replay one chunk's stream (state counts, normals, gammas) and detect
+        # each symbol of the state-by-state layout with the scalar detector
         n_sym, n, sigma_w = 64, 50, 2e-5
         sub0, sub1 = derive_subchannels(DEFAULT_SCHEME)
         for scheme in Scheme:
             bank = threshold_bank(scheme, sub0, sub1, sigma_w=sigma_w)
-            var_th = bank.effective_var_thresholds
+            table, var_th = bank.table, bank.effective_var_thresholds
+            n_mean, n_var = len(table.means), len(table.variances)
             gen = NoiseSource(77, 5).generator
-            bits = gen.integers(0, 2, size=(n_sym, scheme.bits_per_symbol), dtype=np.int8)
-            states = [
-                select_state(SymbolBits(scheme, tuple(int(b) for b in row)), sub0, sub1)
-                for row in bits
-            ]
-            sigmas = np.sqrt([var for _, var in states])
+            counts = gen.multinomial(n_sym, [1.0 / (n_mean * n_var)] * (n_mean * n_var))
+            states = [(s % n_mean, s // n_mean) for s, c in enumerate(counts) for _ in range(c)]
+            out = (np.empty(n_sym) if n_mean > 1 else None, np.empty(n_sym))
             mean_dev, var_hat = compute_moments(
-                gen, np.arange(n_sym), n, sigma_w, sigmas, np.empty((3, n_sym))
+                gen, counts.reshape(n_var, n_mean).sum(axis=1), n, sigma_w,
+                np.sqrt(table.variances), out,
             )
             manual_errors = 0
-            for i, (mean, _) in enumerate(states):
-                mean_hat = mean + mean_dev[i]
-                got = detect_bits(mean_hat, var_hat[i], bank)
+            for k, (i, j) in enumerate(states):
+                mean_hat = table.means[i] + (mean_dev[k] if n_mean > 1 else 0.0)
+                got = detect_bits(mean_hat, var_hat[k], bank)
                 if scheme is Scheme.GQNM:
                     assert got == (bisect_right(bank.mean_thresholds, mean_hat),
-                                   bisect_right(var_th, var_hat[i]))
+                                   bisect_right(var_th, var_hat[k]))
                 elif scheme is Scheme.KLJN:
-                    assert got == (bisect_right(var_th, var_hat[i]),)
-                manual_errors += int(np.sum(np.array(got) != bits[i]))
+                    assert got == (bisect_right(var_th, var_hat[k]),)
+                manual_errors += sum(a != b for a, b in zip(got, table.bits_of(i, j)))
             est = run_point(
                 scheme, DEFAULT_SCHEME, ChannelConfig(sigma_w), n,
                 scheme.bits_per_symbol * n_sym, NoiseSource(77, 5),
@@ -174,6 +181,9 @@ class TestRunPoint:
         variances = np.array([0.0, 2.4e-9, 7e-9, 2e-8, 2.3e-9])
         expected_mean_bits = [(0, 0), (1, 0), (0, 1), (1, 1), (1, 0)]
         expected_var_bits = [(0, 0), (1, 0), (0, 1), (1, 1), (1, 0)]
+        # unshifted thresholds for every sent mean level, so the values are
+        # compared as they are, exact ties included
+        unshifted = [mth] * 4
         # the error count against every sent state is the Hamming distance
         # between its bits and the expected detected bits (b00, b10, b01, b11)
         for i in range(5):
@@ -181,17 +191,66 @@ class TestRunPoint:
             for sent_m, sent_v in itertools.product(range(4), repeat=2):
                 sent = (sent_m & 1, sent_v & 1, sent_m >> 1, sent_v >> 1)
                 hamming = sum(a != b for a, b in zip(sent, (b00, b10, b01, b11)))
+                counts = np.zeros((4, 4), dtype=np.intp)
+                counts[sent_v, sent_m] = 1
                 errors = _detect_bits(
-                    np.array([sent_m]), np.array([sent_v]), means[i:i + 1],
-                    variances[i:i + 1], mth, vth,
+                    counts, means[i:i + 1], variances[i:i + 1], unshifted, vth,
                 )
                 assert errors == hamming
         # all rows at once: every row sent as level pair (0, 0)
-        zeros = np.zeros(5, dtype=np.int8)
-        assert _detect_bits(zeros, zeros, means, variances, mth, vth) == sum(
+        counts = np.zeros((4, 4), dtype=np.intp)
+        counts[0, 0] = 5
+        assert _detect_bits(counts, means, variances, unshifted, vth) == sum(
             sum(m) + sum(v) for m, v in zip(expected_mean_bits, expected_var_bits)
         )
-        assert not zeros.any()  # the sent indices are read, never written
+        assert counts.sum() == counts[0, 0] == 5  # the counts are read, never written
+
+
+@st.composite
+def detection_cases(draw):
+    """A derived config, scheme, sigma_w and threshold mode, with one (mean
+    deviation, variance) pair per state spread over every detection region."""
+    factor = st.floats(1.05, 10.0)
+    beta, eta = draw(factor), draw(factor)
+    var_00 = 10.0 ** draw(st.floats(-12.0, -6.0))
+    config = SchemeConfig.derived(
+        m_L0=10.0 ** draw(st.floats(-4.0, 0.0)), alpha=beta * draw(factor), beta=beta,
+        var_00=var_00, eta=eta, gamma=eta * draw(factor),
+    )
+    sigma_w = draw(st.floats(0.0, 3.0)) * math.sqrt(var_00)
+    unit = st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16)
+    return (draw(st.sampled_from(list(Scheme))), config, sigma_w,
+            draw(st.sampled_from(list(ThresholdMode))), draw(unit), draw(unit))
+
+
+class TestDetectionProperty:
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(case=detection_cases())
+    def test_state_layout_matches_scalar_detector(self, case):
+        """_detect_bits on one symbol per state counts the Hamming distances of
+        the scalar detect_bits on mean + deviation."""
+        scheme, config, sigma_w, mode, u, w = case
+        bank = threshold_bank(scheme, *derive_subchannels(config), mode=mode, sigma_w=sigma_w)
+        table = bank.table
+        means, n_mean, n_var = table.means, len(table.means), len(table.variances)
+        span = max(means[-1] - means[0], abs(means[0]))
+        top = 2.0 * (table.variances[-1] + sigma_w * sigma_w)
+        dev = np.array([1.5 * span * x for x in u[:n_mean * n_var]])
+        var_hat = np.array([top * abs(x) for x in w[:n_mean * n_var]])
+        want = 0
+        for s in range(n_mean * n_var):
+            i, j = s % n_mean, s // n_mean
+            mean_hat = means[i] + dev[s]
+            # m + dev >= t and dev >= t - m may round apart within an ulp
+            assume(all(abs(mean_hat - t) > 8 * math.ulp(max(abs(t), abs(means[i]), abs(dev[s])))
+                       for t in bank.mean_thresholds))
+            got = detect_bits(mean_hat, var_hat[s], bank)
+            want += sum(a != b for a, b in zip(got, table.bits_of(i, j)))
+        mean_th = [tuple(t - m for t in bank.mean_thresholds) for m in means]
+        counts = np.ones((n_var, n_mean), dtype=np.intp)
+        got = _detect_bits(counts, dev if n_mean > 1 else None, var_hat, mean_th,
+                           bank.effective_var_thresholds)
+        assert got == want
 
 
 class TestSamplerAgreement:
@@ -207,8 +266,8 @@ class TestSamplerAgreement:
         ref = [estimate(awgn(modulate(bits, (mean, var), n, rng), sigma_w, rng))
                for _ in range(k)]
         dev, var_hat = compute_moments(
-            NoiseSource(809, n).generator, np.zeros(k, np.intp), n, sigma_w,
-            np.array([math.sqrt(var)]), np.empty((3, k)),
+            NoiseSource(809, n).generator, np.array([k]), n, sigma_w,
+            np.array([math.sqrt(var)]), np.empty((2, k)),
         )
         s2 = var + sigma_w**2
         # (per-sample draws, sampler draws, law variance, law excess kurtosis):
@@ -221,20 +280,74 @@ class TestSamplerAgreement:
             assert abs(a.mean() - b.mean()) < 4 * math.sqrt(2 * v / k)
             assert abs(a.var() - b.var()) < 4 * math.sqrt(2 * v * v * (2 + excess) / k)
 
-    def test_bep_matches_per_sample_path(self):
-        scheme, n, sigma_w, k = Scheme.CGQNM, 8, 2e-5, 20_000
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_bep_matches_per_sample_path(self, scheme):
+        n, sigma_w, k = 8, 2e-5, 20_000
+        bps = scheme.bits_per_symbol
         sub0, sub1 = derive_subchannels(DEFAULT_SCHEME)
         bank = threshold_bank(scheme, sub0, sub1, sigma_w=sigma_w)
         rng = NoiseSource(818)
         errors = 0
-        for row in rng.generator.integers(0, 2, size=(k, 4)):
+        for row in rng.generator.integers(0, 2, size=(k, bps)):
             bits = SymbolBits(scheme, tuple(int(b) for b in row))
             block = awgn(modulate(bits, select_state(bits, sub0, sub1), n, rng), sigma_w, rng)
             got = detect_symbol(block, scheme, bank).bits
             errors += sum(a != b for a, b in zip(got, bits.bits))
-        low, high = wilson_interval(errors, 4 * k)
-        est = run_point(scheme, DEFAULT_SCHEME, ChannelConfig(sigma_w), n, 4 * k, NoiseSource(819))
+        low, high = wilson_interval(errors, bps * k)
+        est = run_point(
+            scheme, DEFAULT_SCHEME, ChannelConfig(sigma_w), n, bps * k, NoiseSource(819)
+        )
         assert est.ci_low <= high and low <= est.ci_high
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_state_counts_are_uniform_multinomial(self, scheme):
+        # pooled counts against uniform, and each chunk's Pearson statistic,
+        # whose sum over chunks has mean chunks * (L - 1) under the multinomial
+        # (equal shares would give 0, a biased draw far more)
+        chunks, n_sym = 2000, 48
+        table = threshold_bank(scheme, *derive_subchannels(DEFAULT_SCHEME)).table
+        gen = NoiseSource(828).generator
+        counts = np.array([_symbol_states(gen, n_sym, table).ravel() for _ in range(chunks)])
+        states = counts.shape[1]
+        assert states == 1 << scheme.bits_per_symbol
+        assert (counts.sum(axis=1) == n_sym).all()
+
+        def pearson(observed, total):
+            expected = total / states
+            return float(((observed - expected) ** 2 / expected).sum(axis=-1).sum())
+
+        # chi-square(L - 1) critical values at p = 1e-3
+        critical = {2: 10.83, 4: 16.27, 16: 37.70}[states]
+        assert pearson(counts.sum(axis=0), chunks * n_sym) < critical
+        dof = chunks * (states - 1)
+        assert abs(pearson(counts, n_sym) - dof) < 5 * math.sqrt(2 * dof)
+
+    @pytest.mark.parametrize("scheme, per_chunk", [
+        (Scheme.KLJN, ["multinomial", "standard_gamma"]),
+        (Scheme.GQNM, ["multinomial", "standard_normal", "standard_gamma"]),
+        (Scheme.CGQNM, ["multinomial", "standard_normal", "standard_gamma"]),
+    ])
+    def test_stream_order_per_chunk(self, monkeypatch, scheme, per_chunk):
+        # KLJN has one mean level and no mean bits, so it draws no normals
+        import noisemod.harness as hn
+
+        calls = []
+
+        class Recording:
+            def __init__(self, gen):
+                self._gen = gen
+
+            def __getattr__(self, name):
+                calls.append(name)
+                return getattr(self._gen, name)
+
+        class Source:
+            generator = Recording(NoiseSource(838).generator)
+
+        monkeypatch.setattr(hn, "CHUNK_SYMBOLS", 64)
+        bps = scheme.bits_per_symbol
+        run_point(scheme, DEFAULT_SCHEME, ChannelConfig(2e-5), 8, 150 * bps, Source())
+        assert calls == per_chunk * 3  # chunks of 64, 64 and 22 symbols
 
 
 def _tiny_spec(**overrides):
@@ -329,7 +442,8 @@ class TestRunSweep:
         )
         result = run_sweep(spec)
         assert len(result.failures) == 1
-        assert "sigma_w" in result.failures[0].error
+        # the exception type, then its message
+        assert result.failures[0].error.startswith("ConfigError: sigma_w >= 0 required")
         assert len(result.records) == 1
         assert result.records[0].sigma_w == 1e-5
 
