@@ -43,7 +43,6 @@ from .harness import (
 )
 from .modem import (
     NoiseSource,
-    SampleBlock,
     Scheme,
     SchemeTable,
     SymbolBits,
@@ -81,7 +80,6 @@ __all__ = [
     "MeanConditionResult",
     "NoiseSource",
     "RunRecord",
-    "SampleBlock",
     "Scheme",
     "SchemeConfig",
     "SchemeTable",

@@ -1,10 +1,10 @@
-"""Distinguishability margins of the composite level sets.
+"""Distinguishability margins of a scheme's level sets.
 
 Adjacent mean levels must sit far apart relative to the widest component
 spread, and adjacent variance levels far apart relative to the spread of
 the block variance estimator, for midpoint detection to work.  These
-checks quantify both margins so a configuration can be vetted before it
-is simulated.
+checks quantify both margins for any scheme table, so a configuration
+can be vetted before it is simulated.
 """
 
 from __future__ import annotations
@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import pairwise
 
-from .modem import Scheme, SchemeTable, scheme_table
+from .modem import SchemeTable
 from .params import SchemeConfig
 
 
@@ -79,7 +80,7 @@ class MeanConditionResult:
 
     lhs_gap is the smallest adjacent mean gap; lhs_literal the coarser
     m_H0 form of the same quantity; rhs is six standard deviations of the
-    largest composite variance.
+    largest variance level.
     """
 
     lhs_gap: float
@@ -133,45 +134,39 @@ def check_variance_condition(
 ) -> list[VariancePairCheck]:
     """Check every adjacent variance pair, not only the closest one.
 
-    Under the canonical scaling the top pair's gap equals the bottom
-    pair's while its estimator spread is larger, so the top pair is the
-    binding one; all three are therefore reported.
+    Under the canonical scaling the composite's top pair has the bottom
+    pair's gap but a larger estimator spread, so the top pair is the
+    binding one; every pair is therefore reported.
     """
     sds = []
     for v in table.variances:
         est_var = sample_variance_spread(v, n, formula)
         sds.append(math.sqrt(est_var) if est_var >= 0.0 else math.nan)
     out = []
-    for f in range(3):
-        gap = table.variances[f + 1] - table.variances[f]
-        spread = 3.0 * sds[f] + 3.0 * sds[f + 1]
+    for (low, high), (sd_low, sd_high) in zip(pairwise(table.variances), pairwise(sds)):
+        gap = high - low
+        spread = 3.0 * sd_low + 3.0 * sd_high
         ratio = _ratio(gap, spread)
-        out.append(
-            VariancePairCheck(
-                level_low=table.variances[f],
-                level_high=table.variances[f + 1],
-                gap=gap,
-                spread=spread,
-                ratio=ratio,
-                satisfied=bool(ratio >= margin_factor),
-            )
-        )
+        out.append(VariancePairCheck(level_low=low, level_high=high, gap=gap, spread=spread,
+                                     ratio=ratio, satisfied=bool(ratio >= margin_factor)))
     return out
+
+
+def _json_number(x: float) -> float | None:
+    """x, or None (JSON null) where x is NaN or infinite."""
+    return x if math.isfinite(x) else None
 
 
 @dataclass(frozen=True)
 class DistinguishabilityReport:
-    """Combined mean- and variance-domain margins for one configuration."""
+    """Mean- and variance-domain margins of one scheme table at block length n.
 
-    mean_lhs: float
-    mean_lhs_literal: float
-    mean_rhs: float
-    mean_ratio: float
-    mean_satisfied: bool
-    var_gaps: tuple[float, float, float]
-    var_spreads: tuple[float, float, float]
-    var_ratios: tuple[float, float, float]
-    var_satisfied: bool
+    mean is None for a table with one mean level (KLJN), which carries no
+    mean bits; pairs holds one check per adjacent variance pair.
+    """
+
+    mean: MeanConditionResult | None
+    pairs: tuple[VariancePairCheck, ...]
     formula_mode: SpreadFormula
     n: int
     margin_factor: float
@@ -179,19 +174,21 @@ class DistinguishabilityReport:
 
     @property
     def satisfied(self) -> bool:
-        return self.mean_satisfied and self.var_satisfied
+        return (self.mean is None or self.mean.satisfied) and all(p.satisfied for p in self.pairs)
 
     def to_dict(self) -> dict:
+        """JSON-ready fields; NaN and infinite values are written as None."""
+        mean = self.mean
         return {
-            "mean_lhs": self.mean_lhs,
-            "mean_lhs_literal": self.mean_lhs_literal,
-            "mean_rhs": self.mean_rhs,
-            "mean_ratio": self.mean_ratio,
-            "mean_satisfied": self.mean_satisfied,
-            "var_gaps": list(self.var_gaps),
-            "var_spreads": list(self.var_spreads),
-            "var_ratios": list(self.var_ratios),
-            "var_satisfied": self.var_satisfied,
+            "mean_lhs": _json_number(mean.lhs_gap) if mean else None,
+            "mean_lhs_literal": _json_number(mean.lhs_literal) if mean else None,
+            "mean_rhs": _json_number(mean.rhs) if mean else None,
+            "mean_ratio": _json_number(mean.ratio) if mean else None,
+            "mean_satisfied": mean.satisfied if mean else None,
+            "var_gaps": [_json_number(p.gap) for p in self.pairs],
+            "var_spreads": [_json_number(p.spread) for p in self.pairs],
+            "var_ratios": [_json_number(p.ratio) for p in self.pairs],
+            "var_satisfied": all(p.satisfied for p in self.pairs),
             "satisfied": self.satisfied,
             "formula_mode": self.formula_mode.value,
             "n": self.n,
@@ -201,16 +198,19 @@ class DistinguishabilityReport:
 
 
 def build_report(
+    table: SchemeTable,
     config: SchemeConfig,
     n: int,
     formula: SpreadFormula = SpreadFormula.CHI_SQUARE,
     margin_factor: float = 1.0,
 ) -> DistinguishabilityReport:
-    """Evaluate both distinguishability conditions for one configuration."""
+    """Evaluate both distinguishability conditions for one scheme table.
+
+    config supplies only the paper-literal m_H0 form of the mean gap.
+    """
     if not (math.isfinite(margin_factor) and margin_factor > 0.0):
         raise ValueError(f"margin factor must be finite and > 0, got {margin_factor!r}")
-    table = scheme_table(Scheme.CGQNM, config.sub0, config.sub1)
-    mean_res = check_mean_condition(table, config, margin_factor)
+    mean = check_mean_condition(table, config, margin_factor) if len(table.means) > 1 else None
     pairs = check_variance_condition(table, n, formula, margin_factor)
     warnings = []
     if formula is SpreadFormula.FOURTH_MOMENT:
@@ -222,18 +222,4 @@ def build_report(
         if math.isnan(p.spread):
             warnings.append(f"estimator spread undefined for variance pair {i + 1} "
                             "(negative variance-of-estimator value)")
-    return DistinguishabilityReport(
-        mean_lhs=mean_res.lhs_gap,
-        mean_lhs_literal=mean_res.lhs_literal,
-        mean_rhs=mean_res.rhs,
-        mean_ratio=mean_res.ratio,
-        mean_satisfied=mean_res.satisfied,
-        var_gaps=tuple(p.gap for p in pairs),
-        var_spreads=tuple(p.spread for p in pairs),
-        var_ratios=tuple(p.ratio for p in pairs),
-        var_satisfied=all(p.satisfied for p in pairs),
-        formula_mode=formula,
-        n=n,
-        margin_factor=margin_factor,
-        warnings=tuple(warnings),
-    )
+    return DistinguishabilityReport(mean, tuple(pairs), formula, n, margin_factor, tuple(warnings))

@@ -121,49 +121,51 @@ def cmd_simulate(args) -> int:
 
 
 def _preflight_note(spec: SweepSpec, formula: SpreadFormula) -> None:
-    """Warn (stderr) when the worst-case swept N leaves margins unsatisfied."""
-    if spec.variable is SweepVariable.SAMPLES_N:
-        n_worst = int(spec.values[0])
-    else:
-        n_worst = spec.n
-    try:
-        report = build_report(spec.scheme_config, n_worst, formula)
-    except (ConfigError, DegenerateLevelsError):
-        return  # the sweep itself will surface this per cell
-    if not report.satisfied:
-        ratios = [report.mean_ratio, *report.var_ratios]
-        finite = [r for r in ratios if not math.isnan(r)]
-        worst = min(finite) if finite else math.nan
-        print(
-            f"note: distinguishability margins unsatisfied at N={n_worst} "
-            f"({formula.value} formula): min ratio {worst:.3g}",
-            file=sys.stderr,
-        )
+    """Warn (stderr) for each simulated scheme whose margins are unsatisfied
+    at the samples per symbol of its smallest swept block."""
+    n_worst = int(spec.values[0]) if spec.variable is SweepVariable.SAMPLES_N else spec.n
+    config = spec.scheme_config
+    for scheme in spec.schemes:
+        n_symbol = spec.n_symbol(scheme, n_worst)
+        try:
+            table = scheme_table(scheme, config.sub0, config.sub1)
+        except DegenerateLevelsError:
+            continue  # the sweep itself will surface this per cell
+        report = build_report(table, config, n_symbol, formula)
+        if not report.satisfied:
+            ratios = [p.ratio for p in report.pairs] + ([report.mean.ratio] if report.mean else [])
+            worst = min((r for r in ratios if not math.isnan(r)), default=math.nan)
+            print(
+                f"note: {scheme.value} distinguishability margins unsatisfied at "
+                f"{n_symbol} samples per symbol ({formula.value} formula): min ratio {worst:.3g}",
+                file=sys.stderr,
+            )
 
 
 def cmd_check(args) -> int:
     scheme_config, _, n_default = _load(args)
     n = args.n if args.n is not None else n_default
     report = build_report(
+        scheme_table(Scheme.CGQNM, scheme_config.sub0, scheme_config.sub1),
         scheme_config, n,
         SpreadFormula(args.variance_formula),
         margin_factor=args.margin_factor,
     )
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
+        print(json.dumps(report.to_dict(), indent=2, allow_nan=False))
         return 0
     ok = lambda flag: "satisfied" if flag else "NOT satisfied"  # noqa: E731
+    mean = report.mean
     print(f"mean condition (margin factor {report.margin_factor:g}):")
-    print(f"  min adjacent gap    {report.mean_lhs:.6g} V")
-    print(f"  m_H0 form           {report.mean_lhs_literal:.6g} V")
-    print(f"  6*sigma_max         {report.mean_rhs:.6g} V")
-    print(f"  ratio               {report.mean_ratio:.4g}  [{ok(report.mean_satisfied)}]")
+    print(f"  min adjacent gap    {mean.lhs_gap:.6g} V")
+    print(f"  m_H0 form           {mean.lhs_literal:.6g} V")
+    print(f"  6*sigma_max         {mean.rhs:.6g} V")
+    print(f"  ratio               {mean.ratio:.4g}  [{ok(mean.satisfied)}]")
     print(f"variance condition ({report.formula_mode.value} formula, N={report.n}):")
-    for i in range(3):
+    for i, p in enumerate(report.pairs, 1):
         print(
-            f"  pair {i + 1}: gap {report.var_gaps[i]:.6g}  "
-            f"spread {report.var_spreads[i]:.6g}  "
-            f"ratio {report.var_ratios[i]:.4g}  [{ok(report.var_ratios[i] >= report.margin_factor)}]"
+            f"  pair {i}: gap {p.gap:.6g}  spread {p.spread:.6g}  "
+            f"ratio {p.ratio:.4g}  [{ok(p.satisfied)}]"
         )
     print(f"overall: {ok(report.satisfied)}")
     for w in report.warnings:

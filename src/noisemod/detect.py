@@ -8,7 +8,7 @@ from enum import Enum
 
 import numpy as np
 
-from .modem import SampleBlock, Scheme, SchemeTable, SymbolBits, scheme_table
+from .modem import Scheme, SchemeTable, SymbolBits, scheme_table
 from .params import SubchannelParams
 
 
@@ -65,10 +65,12 @@ def threshold_bank(
     return ThresholdBank(scheme_table(scheme, sub0, sub1), mode, sigma_w * sigma_w)
 
 
-def estimate(block: SampleBlock, bessel: bool = False) -> BlockEstimates:
-    """Sample mean and sample variance (1/N divisor unless bessel=True)."""
-    x = np.asarray(block.samples, dtype=np.float64)
-    return BlockEstimates(float(x.mean()), float(x.var(ddof=1 if bessel else 0)))
+def estimate(samples) -> BlockEstimates:
+    """Sample mean and 1/N-divisor sample variance of a block of samples."""
+    x = np.asarray(samples, dtype=np.float64)
+    if x.size < 2:
+        raise ValueError("a sample block needs at least 2 samples")
+    return BlockEstimates(float(x.mean()), float(x.var()))
 
 
 def detect_bits(mean_hat: float, var_hat: float, bank: ThresholdBank) -> tuple[int, ...]:
@@ -82,13 +84,7 @@ def detect_bits(mean_hat: float, var_hat: float, bank: ThresholdBank) -> tuple[i
     )
 
 
-def detect_symbol(block: SampleBlock, scheme: Scheme, bank: ThresholdBank) -> SymbolBits:
-    """Detect one symbol's bits from its sample block."""
-    table = bank.table
-    if table.scheme is not scheme:
-        arity = (len(table.mean_thresholds), len(table.var_thresholds))
-        raise ValueError(
-            f"threshold bank arity {arity} is {table.scheme.value}'s, not {scheme.value}'s"
-        )
-    est = estimate(block)
-    return SymbolBits(scheme, detect_bits(est.mean_hat, est.var_hat, bank))
+def detect_symbol(samples, bank: ThresholdBank) -> SymbolBits:
+    """Detect one symbol's bits, in the layout of the bank's scheme, from its samples."""
+    est = estimate(samples)
+    return SymbolBits(bank.table.scheme, detect_bits(est.mean_hat, est.var_hat, bank))

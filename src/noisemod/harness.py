@@ -208,6 +208,10 @@ class SweepSpec:
         if self.seed < 0:
             raise ValueError(f"seed >= 0 required, got {self.seed}")
 
+    def n_symbol(self, scheme: Scheme, n: int) -> int:
+        """Samples per symbol of `scheme` at swept or fixed N (see Fairness)."""
+        return n * scheme.bits_per_symbol if self.fairness is Fairness.PER_BIT else n
+
 
 @dataclass(frozen=True)
 class RunRecord:
@@ -275,8 +279,7 @@ def _run_cell(spec: SweepSpec, scheme: Scheme, index: int) -> RunRecord:
     value = spec.values[index]
     n_point = int(value) if spec.variable is SweepVariable.SAMPLES_N else spec.n
     sigma_w = float(value) if spec.variable is SweepVariable.SIGMA_W else spec.channel.sigma_w
-    scale = scheme.bits_per_symbol if spec.fairness is Fairness.PER_BIT else 1
-    n_symbol = n_point * scale
+    n_symbol = spec.n_symbol(scheme, n_point)
     stream_id = stable_stream_id(scheme.value, index)
     rng = NoiseSource(spec.seed, stream_id)
     t0 = time.perf_counter()

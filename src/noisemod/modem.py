@@ -47,24 +47,6 @@ class SymbolBits:
             raise ValueError(f"bits must be 0 or 1, got {self.bits!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class SampleBlock:
-    """One symbol duration of baseband samples plus its generating state."""
-
-    samples: np.ndarray
-    true_mean: float
-    true_var: float
-
-    def __post_init__(self):
-        if self.samples.size < 2:
-            raise ValueError("a sample block needs at least 2 samples")
-        if self.true_var < 0.0:
-            raise ValueError(f"true_var must be >= 0, got {self.true_var!r}")
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-
 @dataclass
 class NoiseSource:
     """Reproducible Gaussian stream keyed by (seed, stream_id).
@@ -182,35 +164,23 @@ def select_state(
     return table.means[mean_index], table.variances[var_index]
 
 
-def modulate(
-    bits: SymbolBits,
-    state: tuple[float, float],
-    n: int,
-    rng: NoiseSource,
-) -> SampleBlock:
+def modulate(state: tuple[float, float], n: int, rng: NoiseSource) -> np.ndarray:
     """Draw one symbol block: n independent Normal(mean, variance) samples."""
-    del bits  # state already encodes the symbol; kept for call-site symmetry
     if n < 2:
         raise ValueError(f"n >= 2 required, got {n}")
     mean, var = state
     if var < 0.0:
         raise ValueError(f"variance must be >= 0, got {var!r}")
-    z = rng.generator.standard_normal(n)
-    return SampleBlock(mean + math.sqrt(var) * z, mean, var)
+    return mean + math.sqrt(var) * rng.generator.standard_normal(n)
 
 
-def awgn(block: SampleBlock, sigma_w: float, rng: NoiseSource) -> SampleBlock:
+def awgn(samples: np.ndarray, sigma_w: float, rng: NoiseSource) -> np.ndarray:
     """Add independent zero-mean channel noise of standard deviation sigma_w.
 
-    sigma_w == 0 returns the block unchanged and consumes no draws.
+    sigma_w == 0 returns the samples unchanged and consumes no draws.
     """
     if sigma_w < 0.0:
         raise ValueError(f"sigma_w must be >= 0, got {sigma_w!r}")
     if sigma_w == 0.0:
-        return block
-    w = rng.generator.standard_normal(block.samples.size)
-    return SampleBlock(
-        block.samples + sigma_w * w,
-        block.true_mean,
-        block.true_var + sigma_w * sigma_w,
-    )
+        return samples
+    return samples + sigma_w * rng.generator.standard_normal(samples.size)

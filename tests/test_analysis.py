@@ -5,12 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from noisemod import (
     DEFAULT_SCHEME,
+    DegenerateLevelsError,
     Scheme,
+    SchemeConfig,
     SchemeTable,
     SpreadFormula,
+    SubchannelParams,
     build_report,
     check_mean_condition,
     check_variance_condition,
@@ -197,35 +201,72 @@ class TestVarianceCondition:
 
 
 class TestReport:
-    def test_canonical_report(self):
-        report = build_report(DEFAULT_SCHEME, 100)
-        assert report.mean_satisfied
-        assert not report.var_satisfied  # surfaced, not resolved
-        assert report.mean_ratio == pytest.approx(30.90, abs=0.05)
-        assert len(report.var_ratios) == 3
+    def test_canonical_report(self, canonical_constants):
+        report = build_report(canonical_constants, DEFAULT_SCHEME, 100)
+        assert report.mean.satisfied
+        assert not all(p.satisfied for p in report.pairs)  # surfaced, not resolved
+        assert report.mean.ratio == pytest.approx(30.90, abs=0.05)
+        assert len(report.pairs) == 3
         assert not report.satisfied
         assert report.warnings == ()
 
-    def test_fourth_moment_mode_flags_warning(self):
-        report = build_report(DEFAULT_SCHEME, 100, SpreadFormula.FOURTH_MOMENT)
+    def test_fourth_moment_mode_flags_warning(self, canonical_constants):
+        report = build_report(
+            canonical_constants, DEFAULT_SCHEME, 100, SpreadFormula.FOURTH_MOMENT
+        )
         assert report.formula_mode is SpreadFormula.FOURTH_MOMENT
         assert any("verbatim" in w for w in report.warnings)
 
     def test_negative_spread_reported_as_nan(self):
-        from noisemod import SchemeConfig
-
         cfg = SchemeConfig.derived(m_L0=1.0, alpha=20.0, beta=5.0, var_00=1.0, eta=5.0, gamma=20.0)
-        report = build_report(cfg, 100, SpreadFormula.FOURTH_MOMENT)
-        assert any(math.isnan(s) for s in report.var_spreads)
-        assert not report.var_satisfied
+        table = scheme_table(Scheme.CGQNM, cfg.sub0, cfg.sub1)
+        report = build_report(table, cfg, 100, SpreadFormula.FOURTH_MOMENT)
+        assert any(math.isnan(p.spread) for p in report.pairs)
+        assert not all(p.satisfied for p in report.pairs)
         assert any("undefined" in w for w in report.warnings)
 
     @pytest.mark.parametrize("margin_factor", [math.nan, math.inf, 0.0, -1.0])
-    def test_bad_margin_factor_rejected(self, margin_factor):
+    def test_bad_margin_factor_rejected(self, canonical_constants, margin_factor):
         with pytest.raises(ValueError, match="margin factor must be finite and > 0"):
-            build_report(DEFAULT_SCHEME, 100, margin_factor=margin_factor)
+            build_report(canonical_constants, DEFAULT_SCHEME, 100, margin_factor=margin_factor)
 
-    def test_to_dict_round_trips_enums(self):
-        d = build_report(DEFAULT_SCHEME, 100).to_dict()
+    def test_to_dict_round_trips_enums(self, canonical_constants):
+        d = build_report(canonical_constants, DEFAULT_SCHEME, 100).to_dict()
         assert d["formula_mode"] == "corrected"
         assert isinstance(d["var_ratios"], list)
+
+
+@st.composite
+def explicit_configs(draw):
+    """Two explicit subchannels with arbitrary valid values; the composite
+    levels of many of them coincide or fall out of order."""
+    def sub():
+        m_L = draw(st.floats(-1.0, 1.0))
+        var_0 = 10.0 ** draw(st.floats(-12.0, 0.0))
+        return SubchannelParams(m_L, m_L + draw(st.floats(1e-6, 1.0)),
+                                var_0, var_0 * draw(st.floats(1.001, 100.0)))
+    return SchemeConfig(sub(), sub())
+
+
+class TestReportProperty:
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(config=explicit_configs(), n=st.integers(2, 10_000),
+           formula=st.sampled_from(list(SpreadFormula)), margin=st.floats(0.1, 10.0))
+    def test_report_follows_its_table(self, config, n, formula, margin):
+        """One variance pair per adjacent level pair, a mean check exactly when
+        the table has mean bits, and satisfied as the conjunction of the parts."""
+        for scheme in Scheme:
+            try:
+                table = scheme_table(scheme, config.sub0, config.sub1)
+            except DegenerateLevelsError:
+                continue
+            report = build_report(table, config, n, formula, margin)
+            v = table.variances
+            assert len(report.pairs) == len(v) - 1
+            assert [p.gap for p in report.pairs] == [b - a for a, b in zip(v, v[1:])]
+            assert [(p.level_low, p.level_high) for p in report.pairs] == list(zip(v, v[1:]))
+            assert (report.mean is None) == (len(table.means) == 1)
+            parts = [p.satisfied for p in report.pairs]
+            if report.mean is not None:
+                parts.append(report.mean.satisfied)
+            assert report.satisfied == all(parts)

@@ -93,6 +93,30 @@ class TestCheck:
         assert "mean condition" in out
         assert "NOT satisfied" in out
 
+    @pytest.mark.parametrize("formula, variances, key", [
+        # the fourth-moment spread is negative at every level: NaN spreads and ratios
+        ("paper", ((1, 2), (3, 7)), "var_spreads"),
+        # spreads underflow to 0 under positive gaps: infinite ratios
+        ("corrected", ((1e-170, 2e-170), (3e-170, 7e-170)), "var_ratios"),
+    ])
+    def test_json_is_strict(self, tmp_path, capsys, formula, variances, key):
+        (v00, v10), (v01, v11) = variances
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"explicit": {
+            "sub0": {"m_L": 1, "m_H": 2, "var_0": v00, "var_1": v10},
+            "sub1": {"m_L": 3, "m_H": 6, "var_0": v01, "var_1": v11},
+        }}))
+        argv = ["check", "--n", "100", "--variance-formula", formula, "--json",
+                "--config", str(path)]
+        assert main(argv) == 0
+
+        def refuse(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        report = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert report[key] == [None, None, None]
+        assert report["satisfied"] is (formula != "paper")
+
     @pytest.mark.parametrize("factor", ["nan", "inf", "0", "-1"])
     def test_bad_margin_factor_exits_one(self, capsys, factor):
         assert main(["check", f"--margin-factor={factor}"]) == 1
@@ -147,8 +171,25 @@ class TestSimulate:
         assert len(out.splitlines()) == 4  # header + 3 schemes
 
     def test_preflight_note_on_unsatisfied_margins(self, capsys):
-        assert main(["simulate", "--scheme", "kljn", "--n", "40", "--min-bits", "1000"]) == 0
-        assert "margins unsatisfied" in capsys.readouterr().err
+        assert main(["simulate", "--scheme", "kljn", "--n", "10", "--min-bits", "1000"]) == 0
+        err = capsys.readouterr().err
+        assert "margins unsatisfied" in err
+        assert "kljn" in err
+
+    @pytest.mark.parametrize("argv, note", [
+        # KLJN's own margins at 40 samples per symbol hold (ratio 1.006)
+        (["--scheme", "kljn"], None),
+        # per-bit fairness gives the composite 4 x 40 samples per symbol
+        (["--scheme", "cgqnm"], "cgqnm distinguishability margins unsatisfied at "
+                                "160 samples per symbol (corrected formula): min ratio 0.0581"),
+        (["--scheme", "cgqnm", "--fairness", "per-symbol"],
+         "cgqnm distinguishability margins unsatisfied at "
+         "40 samples per symbol (corrected formula): min ratio 0.0293"),
+    ])
+    def test_preflight_note_checks_each_scheme_at_its_block(self, capsys, argv, note):
+        assert main(["simulate", *argv, "--n", "40", "--min-bits", "1000"]) == 0
+        err = capsys.readouterr().err
+        assert err == ("" if note is None else f"note: {note}\n")
 
     def test_double_sweep_rejected(self, capsys):
         code = main(["simulate", "--n", "40:100:15", "--sigma-w", "1e-5:3e-5:1e-5"])

@@ -263,7 +263,7 @@ class TestSamplerAgreement:
         bits = SymbolBits(Scheme.CGQNM, (0, 0, 0, 0))
         mean, var = select_state(bits, *canonical_subs)
         rng = NoiseSource(808, n)
-        ref = [estimate(awgn(modulate(bits, (mean, var), n, rng), sigma_w, rng))
+        ref = [estimate(awgn(modulate((mean, var), n, rng), sigma_w, rng))
                for _ in range(k)]
         dev, var_hat = compute_moments(
             NoiseSource(809, n).generator, np.array([k]), n, sigma_w,
@@ -290,8 +290,8 @@ class TestSamplerAgreement:
         errors = 0
         for row in rng.generator.integers(0, 2, size=(k, bps)):
             bits = SymbolBits(scheme, tuple(int(b) for b in row))
-            block = awgn(modulate(bits, select_state(bits, sub0, sub1), n, rng), sigma_w, rng)
-            got = detect_symbol(block, scheme, bank).bits
+            block = awgn(modulate(select_state(bits, sub0, sub1), n, rng), sigma_w, rng)
+            got = detect_symbol(block, bank).bits
             errors += sum(a != b for a, b in zip(got, bits.bits))
         low, high = wilson_interval(errors, bps * k)
         est = run_point(
