@@ -87,9 +87,7 @@ class MeanConditionResult:
     lhs_literal: float
     rhs: float
     ratio: float
-    ratio_literal: float
     satisfied: bool
-    margin_factor: float
 
 
 def check_mean_condition(
@@ -102,16 +100,8 @@ def check_mean_condition(
     lhs = min(gaps)
     rhs = 6.0 * math.sqrt(table.variances[-1])
     ratio = _ratio(lhs, rhs)
-    literal = config.sub0.m_H
-    return MeanConditionResult(
-        lhs_gap=lhs,
-        lhs_literal=literal,
-        rhs=rhs,
-        ratio=ratio,
-        ratio_literal=_ratio(literal, rhs),
-        satisfied=bool(ratio >= margin_factor),
-        margin_factor=margin_factor,
-    )
+    return MeanConditionResult(lhs_gap=lhs, lhs_literal=config.sub0.m_H, rhs=rhs, ratio=ratio,
+                               satisfied=bool(ratio >= margin_factor))
 
 
 @dataclass(frozen=True)

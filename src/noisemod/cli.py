@@ -70,12 +70,7 @@ def _load(args):
     return load_config(args.config)
 
 
-_SCHEME_CHOICES = {
-    "kljn": (Scheme.KLJN,),
-    "gqnm": (Scheme.GQNM,),
-    "cgqnm": (Scheme.CGQNM,),
-    "all": (Scheme.KLJN, Scheme.GQNM, Scheme.CGQNM),
-}
+_SCHEME_CHOICES = {scheme.value: (scheme,) for scheme in Scheme} | {"all": tuple(Scheme)}
 
 
 def cmd_simulate(args) -> int:
@@ -106,7 +101,7 @@ def cmd_simulate(args) -> int:
         fairness=Fairness(args.fairness),
         threshold_mode=ThresholdMode(args.threshold_mode),
     )
-    _preflight_note(spec, SpreadFormula(args.variance_formula))
+    _preflight_note(spec)
     result = run_sweep(spec, workers=args.workers)
     for failure in result.failures:
         print(
@@ -120,10 +115,11 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _preflight_note(spec: SweepSpec, formula: SpreadFormula) -> None:
-    """Warn (stderr) for each simulated scheme whose margins are unsatisfied
-    at the samples per symbol of its smallest swept block."""
-    n_worst = int(spec.values[0]) if spec.variable is SweepVariable.SAMPLES_N else spec.n
+def _preflight_note(spec: SweepSpec) -> None:
+    """Warn (stderr) for each simulated scheme whose margins, with the exact
+    chi-square spread, are unsatisfied at the samples per symbol of its
+    smallest swept block."""
+    n_worst, _ = spec.point(0)
     config = spec.scheme_config
     for scheme in spec.schemes:
         n_symbol = spec.n_symbol(scheme, n_worst)
@@ -131,13 +127,13 @@ def _preflight_note(spec: SweepSpec, formula: SpreadFormula) -> None:
             table = scheme_table(scheme, config.sub0, config.sub1)
         except DegenerateLevelsError:
             continue  # the sweep itself will surface this per cell
-        report = build_report(table, config, n_symbol, formula)
+        report = build_report(table, config, n_symbol)
         if not report.satisfied:
             ratios = [p.ratio for p in report.pairs] + ([report.mean.ratio] if report.mean else [])
             worst = min((r for r in ratios if not math.isnan(r)), default=math.nan)
             print(
                 f"note: {scheme.value} distinguishability margins unsatisfied at "
-                f"{n_symbol} samples per symbol ({formula.value} formula): min ratio {worst:.3g}",
+                f"{n_symbol} samples per symbol (corrected formula): min ratio {worst:.3g}",
                 file=sys.stderr,
             )
 
@@ -227,11 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument(
         "--threshold-mode", dest="threshold_mode",
         choices=[m.value for m in ThresholdMode], default="noise-adjusted",
-    )
-    sim.add_argument(
-        "--variance-formula", dest="variance_formula",
-        choices=[f.value for f in SpreadFormula], default="corrected",
-        help="spread formula for the pre-flight margin note",
     )
     sim.add_argument("--out", default="-", help="output path, '-' for stdout")
     sim.add_argument("--format", choices=["csv", "json"], default="csv")

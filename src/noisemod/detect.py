@@ -27,30 +27,14 @@ class ThresholdMode(Enum):
 
 @dataclass(frozen=True)
 class ThresholdBank:
-    """A scheme's detector thresholds at one channel noise level.
+    """The detector thresholds in use for one scheme at one channel noise level.
 
-    The thresholds are the scheme table's midpoints.  In noise-adjusted
-    mode the variance thresholds are shifted up by sigma_w2 before
-    comparison (the mean is unaffected by zero-mean channel noise).
+    Build it with threshold_bank, the one place the noise adjustment is made.
     """
 
     table: SchemeTable
-    noise_adjust: ThresholdMode = ThresholdMode.NOISE_ADJUSTED
-    sigma_w2: float = 0.0
-
-    def __post_init__(self):
-        if self.sigma_w2 < 0.0:
-            raise ValueError("sigma_w2 must be >= 0")
-
-    @property
-    def mean_thresholds(self) -> tuple[float, ...]:
-        return self.table.mean_thresholds
-
-    @property
-    def effective_var_thresholds(self) -> tuple[float, ...]:
-        if self.noise_adjust is ThresholdMode.NOISE_ADJUSTED and self.sigma_w2 > 0.0:
-            return tuple(t + self.sigma_w2 for t in self.table.var_thresholds)
-        return self.table.var_thresholds
+    mean_thresholds: tuple[float, ...]
+    effective_var_thresholds: tuple[float, ...]
 
 
 def threshold_bank(
@@ -61,8 +45,17 @@ def threshold_bank(
     mode: ThresholdMode = ThresholdMode.NOISE_ADJUSTED,
     sigma_w: float = 0.0,
 ) -> ThresholdBank:
-    """Build the detector thresholds for a scheme from subchannel parameters."""
-    return ThresholdBank(scheme_table(scheme, sub0, sub1), mode, sigma_w * sigma_w)
+    """Build the detector thresholds for a scheme from subchannel parameters.
+
+    The thresholds are the scheme table's midpoints.  In noise-adjusted mode
+    the variance thresholds are shifted up by sigma_w^2 (the mean is
+    unaffected by zero-mean channel noise).
+    """
+    table = scheme_table(scheme, sub0, sub1)
+    var_thresholds, shift = table.var_thresholds, sigma_w * sigma_w
+    if mode is ThresholdMode.NOISE_ADJUSTED and shift > 0.0:
+        var_thresholds = tuple(t + shift for t in var_thresholds)
+    return ThresholdBank(table, table.mean_thresholds, var_thresholds)
 
 
 def estimate(samples) -> BlockEstimates:

@@ -208,6 +208,13 @@ class SweepSpec:
         if self.seed < 0:
             raise ValueError(f"seed >= 0 required, got {self.seed}")
 
+    def point(self, index: int) -> tuple[int, float]:
+        """(N, sigma_w) of the cells at swept value `index`."""
+        value = self.values[index]
+        if self.variable is SweepVariable.SAMPLES_N:
+            return int(value), self.channel.sigma_w
+        return self.n, float(value)
+
     def n_symbol(self, scheme: Scheme, n: int) -> int:
         """Samples per symbol of `scheme` at swept or fixed N (see Fairness)."""
         return n * scheme.bits_per_symbol if self.fairness is Fairness.PER_BIT else n
@@ -276,9 +283,7 @@ def _fingerprint(spec: SweepSpec, scheme: Scheme, index: int, n_symbol: int,
 
 
 def _run_cell(spec: SweepSpec, scheme: Scheme, index: int) -> RunRecord:
-    value = spec.values[index]
-    n_point = int(value) if spec.variable is SweepVariable.SAMPLES_N else spec.n
-    sigma_w = float(value) if spec.variable is SweepVariable.SIGMA_W else spec.channel.sigma_w
+    n_point, sigma_w = spec.point(index)
     n_symbol = spec.n_symbol(scheme, n_point)
     stream_id = stable_stream_id(scheme.value, index)
     rng = NoiseSource(spec.seed, stream_id)
@@ -291,7 +296,7 @@ def _run_cell(spec: SweepSpec, scheme: Scheme, index: int) -> RunRecord:
     return RunRecord(
         scheme=scheme,
         variable=spec.variable,
-        value=value,
+        value=spec.values[index],
         n=n_point,
         sigma_w=sigma_w,
         estimate=est,

@@ -191,6 +191,18 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err == ("" if note is None else f"note: {note}\n")
 
+    def test_variance_formula_is_check_only(self, monkeypatch, capsys):
+        import noisemod.cli as cli
+
+        def started(*args, **kwargs):
+            raise AssertionError("a sweep was started")
+
+        monkeypatch.setattr(cli, "run_sweep", started)
+        assert main(["simulate", "--variance-formula", "paper"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: noisemod ")
+        assert err.endswith("error: unrecognized arguments: --variance-formula paper\n")
+
     def test_double_sweep_rejected(self, capsys):
         code = main(["simulate", "--n", "40:100:15", "--sigma-w", "1e-5:3e-5:1e-5"])
         assert code == 1

@@ -4,8 +4,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from noisemod import (
+    DegenerateLevelsError,
     NoiseSource,
     Scheme,
     SymbolBits,
@@ -14,9 +16,11 @@ from noisemod import (
     detect_symbol,
     estimate,
     modulate,
+    scheme_table,
     select_state,
     threshold_bank,
 )
+from test_analysis import explicit_configs
 
 
 def detect_mean_bits(mean_hat, bank):
@@ -158,3 +162,26 @@ class TestDetectSymbol:
         var_hats = x.var(axis=1)
         assert abs(mean_hats.mean() - m_f) < 5.0 * np.sqrt(var_f / (n * reps))
         assert var_hats.mean() == pytest.approx((n - 1) / n * var_f, rel=1e-2)
+
+
+class TestThresholdProperty:
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(config=explicit_configs(), sigma_w=st.floats(0.0, 1e-3),
+           mode=st.sampled_from(list(ThresholdMode)))
+    def test_thresholds_are_the_midpoints_plus_noise(self, config, sigma_w, mode):
+        """Mean thresholds are the table's midpoints; noise-adjusted variance
+        thresholds are the midpoints plus sigma_w^2 (when that is > 0)."""
+        for scheme in Scheme:
+            try:
+                table = scheme_table(scheme, config.sub0, config.sub1)
+            except DegenerateLevelsError:
+                continue
+            bank = threshold_bank(scheme, config.sub0, config.sub1, mode=mode, sigma_w=sigma_w)
+            assert bank.table == table
+            assert bank.mean_thresholds == table.mean_thresholds
+            shift = sigma_w * sigma_w
+            if mode is ThresholdMode.NOISE_ADJUSTED and shift > 0.0:
+                expected = tuple(t + shift for t in table.var_thresholds)
+            else:
+                expected = table.var_thresholds
+            assert bank.effective_var_thresholds == expected
