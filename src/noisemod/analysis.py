@@ -10,7 +10,7 @@ can be vetted before it is simulated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import pairwise
 
@@ -193,13 +193,20 @@ def build_report(
     n: int,
     formula: SpreadFormula = SpreadFormula.CHI_SQUARE,
     margin_factor: float = 1.0,
+    *,
+    sigma_w: float = 0.0,
 ) -> DistinguishabilityReport:
     """Evaluate both distinguishability conditions for one scheme table.
 
-    config supplies only the paper-literal m_H0 form of the mean gap.
+    config supplies only the paper-literal m_H0 form of the mean gap.  With
+    channel noise sigma_w both margins are judged at the received variance
+    levels v + sigma_w^2.
     """
     if not (math.isfinite(margin_factor) and margin_factor > 0.0):
         raise ValueError(f"margin factor must be finite and > 0, got {margin_factor!r}")
+    if sigma_w:
+        noise = sigma_w * sigma_w
+        table = replace(table, variances=tuple(v + noise for v in table.variances))
     mean = check_mean_condition(table, config, margin_factor) if len(table.means) > 1 else None
     pairs = check_variance_condition(table, n, formula, margin_factor)
     warnings = []

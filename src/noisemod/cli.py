@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 from .analysis import SpreadFormula, build_report
 from .detect import ThresholdMode
@@ -25,6 +26,7 @@ from .params import (
     DEFAULT_SAMPLES_PER_SYMBOL,
     DEFAULT_SCHEME,
     DegenerateLevelsError,
+    derive_subchannels,
     load_config,
 )
 
@@ -118,16 +120,17 @@ def cmd_simulate(args) -> int:
 def _preflight_note(spec: SweepSpec) -> None:
     """Warn (stderr) for each simulated scheme whose margins, with the exact
     chi-square spread, are unsatisfied at the samples per symbol of its
-    smallest swept block."""
+    smallest swept block and the sweep's largest channel noise."""
     n_worst, _ = spec.point(0)
-    config = spec.scheme_config
+    _, sigma_w = spec.point(len(spec.values) - 1)
+    subs = derive_subchannels(spec.scheme_config)
     for scheme in spec.schemes:
         n_symbol = spec.n_symbol(scheme, n_worst)
         try:
-            table = scheme_table(scheme, config.sub0, config.sub1)
+            table = scheme_table(scheme, *subs)
         except DegenerateLevelsError:
             continue  # the sweep itself will surface this per cell
-        report = build_report(table, config, n_symbol)
+        report = build_report(table, spec.scheme_config, n_symbol, sigma_w=sigma_w)
         if not report.satisfied:
             ratios = [p.ratio for p in report.pairs] + ([report.mean.ratio] if report.mean else [])
             worst = min((r for r in ratios if not math.isnan(r)), default=math.nan)
@@ -142,7 +145,7 @@ def cmd_check(args) -> int:
     scheme_config, _, n_default = _load(args)
     n = args.n if args.n is not None else n_default
     report = build_report(
-        scheme_table(Scheme.CGQNM, scheme_config.sub0, scheme_config.sub1),
+        scheme_table(Scheme.CGQNM, *derive_subchannels(scheme_config)),
         scheme_config, n,
         SpreadFormula(args.variance_formula),
         margin_factor=args.margin_factor,
@@ -171,40 +174,28 @@ def cmd_check(args) -> int:
 
 def cmd_derive(args) -> int:
     scheme_config, _, _ = _load(args)
-    sub0, sub1 = scheme_config.sub0, scheme_config.sub1
-    tables = {scheme.value: scheme_table(scheme, sub0, sub1) for scheme in Scheme}
-    composite = tables[Scheme.CGQNM.value]
+    subs = derive_subchannels(scheme_config)
+    tables = {scheme.value: scheme_table(scheme, *subs) for scheme in Scheme}
+    lists = lambda table, *keys: {key: list(getattr(table, key)) for key in keys}  # noqa: E731
+    thresholds, subchannels = ("mean_thresholds", "var_thresholds"), asdict(scheme_config)
+    payload = {
+        **subchannels,
+        **lists(tables[Scheme.CGQNM.value], "means", "variances", *thresholds),
+        "banks": {name: lists(table, *thresholds) for name, table in tables.items()},
+    }
     if args.json:
-        payload = {
-            "sub0": {"m_L": sub0.m_L, "m_H": sub0.m_H, "var_0": sub0.var_0, "var_1": sub0.var_1},
-            "sub1": {"m_L": sub1.m_L, "m_H": sub1.m_H, "var_0": sub1.var_0, "var_1": sub1.var_1},
-            "means": list(composite.means),
-            "variances": list(composite.variances),
-            "mean_thresholds": list(composite.mean_thresholds),
-            "var_thresholds": list(composite.var_thresholds),
-            "banks": {
-                name: {
-                    "mean_thresholds": list(table.mean_thresholds),
-                    "var_thresholds": list(table.var_thresholds),
-                }
-                for name, table in tables.items()
-            },
-        }
         print(json.dumps(payload, indent=2))
         return 0
-    print(f"sub0: m_L={sub0.m_L:.6g}  m_H={sub0.m_H:.6g}  var_0={sub0.var_0:.6g}  var_1={sub0.var_1:.6g}")
-    print(f"sub1: m_L={sub1.m_L:.6g}  m_H={sub1.m_H:.6g}  var_0={sub1.var_0:.6g}  var_1={sub1.var_1:.6g}")
-    print("composite means      " + "  ".join(f"{m:.6g}" for m in composite.means))
-    print("composite variances  " + "  ".join(f"{v:.6g}" for v in composite.variances))
-    print("mean thresholds      " + "  ".join(f"{t:.6g}" for t in composite.mean_thresholds))
-    print("var thresholds       " + "  ".join(f"{t:.6g}" for t in composite.var_thresholds))
+    joined = lambda values: "  ".join(f"{v:.6g}" for v in values)  # noqa: E731
+    for name in subchannels:
+        print(f"{name}: " + "  ".join(f"{key}={v:.6g}" for key, v in payload[name].items()))
+    for label, key in (("composite means", "means"), ("composite variances", "variances"),
+                       ("mean thresholds", "mean_thresholds"),
+                       ("var thresholds", "var_thresholds")):
+        print(f"{label:21}" + joined(payload[key]))
     for name in ("gqnm", "kljn"):
-        table = tables[name]
-        mean_part = (
-            "  ".join(f"{t:.6g}" for t in table.mean_thresholds) if table.mean_thresholds else "-"
-        )
-        var_part = "  ".join(f"{t:.6g}" for t in table.var_thresholds)
-        print(f"{name} thresholds: mean {mean_part}  var {var_part}")
+        mean, var = (joined(payload["banks"][name][key]) for key in thresholds)
+        print(f"{name} thresholds: mean {mean or '-'}  var {var}")
     return 0
 
 

@@ -13,8 +13,10 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -254,13 +256,6 @@ def stable_stream_id(*parts) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _config_payload(config: SchemeConfig) -> dict:
-    return {
-        name: [sub.m_L, sub.m_H, sub.var_0, sub.var_1]
-        for name, sub in (("sub0", config.sub0), ("sub1", config.sub1))
-    }
-
-
 def _fingerprint(spec: SweepSpec, scheme: Scheme, index: int, n_symbol: int,
                  sigma_w: float, stream_id: int) -> str:
     payload = {
@@ -276,7 +271,7 @@ def _fingerprint(spec: SweepSpec, scheme: Scheme, index: int, n_symbol: int,
         "fairness": spec.fairness.value,
         "threshold_mode": spec.threshold_mode.value,
         "sampler": "suffstat-bystate",
-        "config": _config_payload(spec.scheme_config),
+        "config": {name: list(sub.values()) for name, sub in asdict(spec.scheme_config).items()},
     }
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -324,28 +319,23 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     if workers < 1:
         raise ValueError(f"workers >= 1 required, got {workers}")
     cells = [(scheme, i) for scheme in spec.schemes for i in range(len(spec.values))]
-    records: dict[tuple, RunRecord] = {}
-    failures: list[CellFailure] = []
     processes = _pool_size(spec, cells, workers)
-    if processes == 1:
-        for scheme, i in cells:
-            try:
-                records[(scheme, i)] = _run_cell(spec, scheme, i)
-            except Exception as e:  # noqa: BLE001 - cell isolation by contract
-                failures.append(CellFailure(scheme, spec.values[i], f"{type(e).__name__}: {e}"))
-    else:
+    pool = None
+    if processes > 1:
         from concurrent.futures import ProcessPoolExecutor  # here, to keep it out of CLI start-up
 
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            futures = {(scheme, i): pool.submit(_run_cell, spec, scheme, i)
-                       for scheme, i in cells}
-            for scheme, i in cells:
-                try:
-                    records[(scheme, i)] = futures[(scheme, i)].result()
-                except Exception as e:  # noqa: BLE001
-                    failures.append(CellFailure(scheme, spec.values[i], f"{type(e).__name__}: {e}"))
-    ordered = tuple(records[key] for key in cells if key in records)
-    return SweepResult(records=ordered, failures=tuple(failures))
+        pool = ProcessPoolExecutor(max_workers=processes)
+    records, failures = [], []
+    with pool or nullcontext():
+        # each cell's result, asked for in grid order; in-process cells run when asked
+        results = [pool.submit(_run_cell, spec, *cell).result if pool
+                   else partial(_run_cell, spec, *cell) for cell in cells]
+        for (scheme, i), result in zip(cells, results):
+            try:
+                records.append(result())
+            except Exception as e:  # noqa: BLE001 - cell isolation by contract
+                failures.append(CellFailure(scheme, spec.values[i], f"{type(e).__name__}: {e}"))
+    return SweepResult(records=tuple(records), failures=tuple(failures))
 
 
 CSV_COLUMNS = (

@@ -18,22 +18,32 @@ from .params import DegenerateLevelsError, SubchannelParams
 
 
 class Scheme(Enum):
-    KLJN = "kljn"
-    GQNM = "gqnm"
-    CGQNM = "cgqnm"
+    """A scheme's CLI name and its layout = (mean_bits, var_bits): the symbol
+    bits of the mean and of the variance level index, least significant
+    first.  Index bit k picks subchannel k's low or high value."""
+
+    KLJN = "kljn", (), (0,)
+    GQNM = "gqnm", (0,), (1,)
+    CGQNM = "cgqnm", (0, 2), (1, 3)
+
+    def __new__(cls, value, mean_bits, var_bits):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.layout = (mean_bits, var_bits)
+        return member
 
     @property
     def bits_per_symbol(self) -> int:
-        return {Scheme.KLJN: 1, Scheme.GQNM: 2, Scheme.CGQNM: 4}[self]
+        return sum(map(len, self.layout))
 
 
 @dataclass(frozen=True)
 class SymbolBits:
-    """One symbol's information bits.
+    """One symbol's information bits, in the order of the scheme's layout.
 
-    Layouts: KLJN (b1,) — variance bit only; GQNM (b0, b1) — mean bit,
-    variance bit; CGQNM (b00, b10, b01, b11) — subchannel-0 mean and
-    variance bits followed by the subchannel-1 pair.
+    KLJN (b1,) — variance bit only; GQNM (b0, b1) — mean bit, variance
+    bit; CGQNM (b00, b10, b01, b11) — subchannel-0 mean and variance bits
+    followed by the subchannel-1 pair.
     """
 
     scheme: Scheme
@@ -87,12 +97,10 @@ class SchemeTable:
     mean_thresholds: tuple[float, ...]
     var_thresholds: tuple[float, ...]
 
-    def indices(self, bits):
-        """(mean, variance) level indices of one symbol's bits, or of every
-        row of a (symbols x bits) array."""
-        bits = np.asarray(bits)
+    def indices(self, bits: tuple[int, ...]) -> tuple[int, int]:
+        """(mean, variance) level indices of one symbol's bits."""
         return tuple(
-            sum(bits[..., p] << k for k, p in enumerate(positions))
+            sum(bits[p] << k for k, p in enumerate(positions))
             for positions in (self.mean_bits, self.var_bits)
         )
 
@@ -123,24 +131,20 @@ def scheme_table(
     sub0: SubchannelParams,
     sub1: SubchannelParams | None = None,
 ) -> SchemeTable:
-    """Build a scheme's table from its subchannels.
+    """Build a scheme's table from its subchannels (see Scheme.layout).
 
-    The composite sums the two subchannel outputs, with subchannel 0 on the
-    low index bit; GQNM uses subchannel 0 alone; KLJN is zero-mean with its
-    one bit choosing between subchannel 0's two variances.  Raises
+    Each level index sums the first len(bits) of (sub0, sub1): the
+    composite both, GQNM sub0 alone, and zero-mean KLJN sub0's variances.
+    Raises ValueError if the layout needs a subchannel that is missing, and
     DegenerateLevelsError if two levels coincide or a level set does not
     ascend in index order (either way midpoint detection is meaningless).
     """
-    if scheme is Scheme.CGQNM:
-        if sub1 is None:
-            raise ValueError("composite scheme needs both subchannels")
-        mean_subs, var_subs, mean_bits, var_bits = (sub0, sub1), (sub0, sub1), (0, 2), (1, 3)
-    elif scheme is Scheme.GQNM:
-        mean_subs, var_subs, mean_bits, var_bits = (sub0,), (sub0,), (0,), (1,)
-    else:
-        mean_subs, var_subs, mean_bits, var_bits = (), (sub0,), (), (0,)
-    means = _levels([(s.m_L, s.m_H) for s in mean_subs])
-    variances = _levels([(s.var_0, s.var_1) for s in var_subs])
+    mean_bits, var_bits = scheme.layout
+    subs = (sub0, sub1)[:max(len(mean_bits), len(var_bits))]
+    if any(sub is None for sub in subs):
+        raise ValueError(f"{scheme.value} needs {len(subs)} subchannels")
+    means = _levels([(s.m_L, s.m_H) for s in subs[:len(mean_bits)]])
+    variances = _levels([(s.var_0, s.var_1) for s in subs[:len(var_bits)]])
     for label, levels in (("mean", means), ("variance", variances)):
         ordered = sorted(levels)
         for a, b in zip(ordered, ordered[1:]):

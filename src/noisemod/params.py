@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 class ConfigError(ValueError):
@@ -43,8 +43,8 @@ class SubchannelParams:
     var_1: float
 
     def __post_init__(self):
-        for name in ("m_L", "m_H", "var_0", "var_1"):
-            _require_finite(name, getattr(self, name))
+        for f in fields(self):
+            _require_finite(f.name, getattr(self, f.name))
         if not self.m_L < self.m_H:
             raise ConfigError(
                 f"subchannel requires m_L < m_H, got m_L={self.m_L!r}, m_H={self.m_H!r}"
@@ -68,8 +68,9 @@ class SchemeConfig:
     sub1: SubchannelParams
 
     def __post_init__(self):
-        if not all(isinstance(sub, SubchannelParams) for sub in (self.sub0, self.sub1)):
-            raise ConfigError("a scheme config requires two SubchannelParams, sub0 and sub1")
+        if not all(isinstance(sub, SubchannelParams) for sub in derive_subchannels(self)):
+            names = " and ".join(f.name for f in fields(self))
+            raise ConfigError(f"a scheme config requires SubchannelParams for {names}")
 
     @classmethod
     def derived(cls, m_L0, alpha, beta, var_00, eta, gamma) -> "SchemeConfig":
@@ -111,9 +112,9 @@ class ChannelConfig:
             raise ConfigError(f"sigma_w^2 must be finite, got sigma_w={self.sigma_w!r}")
 
 
-def derive_subchannels(config: SchemeConfig) -> tuple[SubchannelParams, SubchannelParams]:
-    """The configuration's two subchannel parameter sets."""
-    return config.sub0, config.sub1
+def derive_subchannels(config: SchemeConfig) -> tuple[SubchannelParams, ...]:
+    """The configuration's subchannels, in field order (sub0, sub1)."""
+    return tuple(getattr(config, f.name) for f in fields(config))
 
 
 # Default operating point (volts / volts^2): the reference parameter set
@@ -124,12 +125,9 @@ DEFAULT_SCHEME = SchemeConfig.derived(
 DEFAULT_CHANNEL = ChannelConfig(sigma_w=2e-5)
 DEFAULT_SAMPLES_PER_SYMBOL = 100
 
-_TOP_KEYS = {
-    "m_L0", "alpha", "beta", "var_00", "eta", "gamma",
-    "sigma_w", "samples_per_symbol", "explicit",
-}
-_SUB_KEYS = {"m_L", "m_H", "var_0", "var_1"}
 _SCALAR_KEYS = ("m_L0", "alpha", "beta", "var_00", "eta", "gamma")
+_TOP_KEYS = {*_SCALAR_KEYS, "sigma_w", "samples_per_symbol", "explicit"}
+_SUB_KEYS = tuple(f.name for f in fields(SubchannelParams))
 
 
 def _number(value, label) -> float:
@@ -145,10 +143,10 @@ def _number(value, label) -> float:
 def _parse_sub(block, label) -> SubchannelParams:
     if not isinstance(block, dict):
         raise ConfigError(f"explicit.{label} must be an object")
-    unknown = set(block) - _SUB_KEYS
+    unknown = set(block).difference(_SUB_KEYS)
     if unknown:
         raise ConfigError(f"unknown keys in explicit.{label}: {', '.join(sorted(unknown))}")
-    missing = _SUB_KEYS - set(block)
+    missing = set(_SUB_KEYS).difference(block)
     if missing:
         raise ConfigError(f"explicit.{label} missing keys: {', '.join(sorted(missing))}")
     return SubchannelParams(**{
@@ -160,9 +158,9 @@ def load_config(path) -> tuple[SchemeConfig, ChannelConfig, int]:
     """Load a JSON config file.
 
     Returns (scheme config, channel config, samples per symbol).  The file
-    either carries the six scale factors or an `explicit` block with both
-    subchannels, and both load to the same two-subchannel config; `sigma_w` and `samples_per_symbol` are optional and
-    fall back to the defaults above.
+    either carries the six scale factors or an `explicit` block with every
+    subchannel, and both load to the same config; `sigma_w` and
+    `samples_per_symbol` are optional and fall back to the defaults above.
     """
     with open(path) as fh:
         try:
@@ -180,12 +178,10 @@ def load_config(path) -> tuple[SchemeConfig, ChannelConfig, int]:
             raise ConfigError(
                 f"{path}: explicit block conflicts with scalar keys: {', '.join(present)}"
             )
-        block = raw["explicit"]
-        if not isinstance(block, dict) or set(block) != {"sub0", "sub1"}:
-            raise ConfigError(f"{path}: explicit must contain exactly sub0 and sub1")
-        scheme = SchemeConfig(
-            _parse_sub(block["sub0"], "sub0"), _parse_sub(block["sub1"], "sub1")
-        )
+        block, names = raw["explicit"], [f.name for f in fields(SchemeConfig)]
+        if not isinstance(block, dict) or set(block) != set(names):
+            raise ConfigError(f"{path}: explicit must contain exactly {' and '.join(names)}")
+        scheme = SchemeConfig(*(_parse_sub(block[name], name) for name in names))
     else:
         missing = [k for k in _SCALAR_KEYS if k not in raw]
         if missing:

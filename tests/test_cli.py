@@ -1,13 +1,20 @@
 """End-to-end CLI tests run through the main() entry point."""
 
+import contextlib
+import dataclasses
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
 
+from noisemod import load_config
 from noisemod.cli import main
 from pathlib import Path
+
+from test_analysis import explicit_configs
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -58,6 +65,27 @@ class TestDerive:
         out = capsys.readouterr().out
         assert "composite means" in out
         assert "kljn thresholds" in out
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(config=explicit_configs())
+    def test_json_subchannels_round_trip(self, tmp_path_factory, config):
+        """Any explicit config loads back equal; where derive accepts it, its
+        --json subchannel blocks, written back as an explicit config, load to
+        the same config and derive the same bytes."""
+        path = tmp_path_factory.getbasetemp() / "round_trip.json"
+
+        def derive_json(explicit):
+            path.write_text(json.dumps({"explicit": explicit}))
+            assert load_config(path)[0] == config
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(["derive", "--json", "--config", str(path)])
+            return code, out.getvalue()
+
+        code, first = derive_json(dataclasses.asdict(config))
+        if code == 0:  # derive refuses composite levels that coincide or cross
+            payload = json.loads(first)
+            assert derive_json({k: payload[k] for k in ("sub0", "sub1")}) == (0, first)
 
     def test_degenerate_config_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -177,19 +205,33 @@ class TestSimulate:
         assert "kljn" in err
 
     @pytest.mark.parametrize("argv, note", [
-        # KLJN's own margins at 40 samples per symbol hold (ratio 1.006)
-        (["--scheme", "kljn"], None),
+        # KLJN's margins at 40 samples per symbol hold without channel noise
+        # (ratio 1.006), but not at the received levels v + (2e-5)^2
+        (["--scheme", "kljn"], "kljn distinguishability margins unsatisfied at "
+                               "40 samples per symbol (corrected formula): min ratio 0.431"),
         # per-bit fairness gives the composite 4 x 40 samples per symbol
         (["--scheme", "cgqnm"], "cgqnm distinguishability margins unsatisfied at "
-                                "160 samples per symbol (corrected formula): min ratio 0.0581"),
+                                "160 samples per symbol (corrected formula): min ratio 0.0559"),
         (["--scheme", "cgqnm", "--fairness", "per-symbol"],
          "cgqnm distinguishability margins unsatisfied at "
-         "40 samples per symbol (corrected formula): min ratio 0.0293"),
+         "40 samples per symbol (corrected formula): min ratio 0.0282"),
     ])
     def test_preflight_note_checks_each_scheme_at_its_block(self, capsys, argv, note):
         assert main(["simulate", *argv, "--n", "40", "--min-bits", "1000"]) == 0
         err = capsys.readouterr().err
         assert err == ("" if note is None else f"note: {note}\n")
+
+    def test_preflight_note_sees_the_largest_channel_noise(self, capsys):
+        # noiseless, KLJN's margins hold here; its exact BEP at sigma_w = 1e-4 is 0.466
+        assert main(["simulate", "--scheme", "kljn", "--n", "40", "--sigma-w", "1e-4",
+                     "--min-bits", "1000"]) == 0
+        assert capsys.readouterr().err == (
+            "note: kljn distinguishability margins unsatisfied at 40 samples per symbol "
+            "(corrected formula): min ratio 0.0293\n")
+        # a sigma_w sweep is judged at its largest value
+        assert main(["simulate", "--scheme", "kljn", "--n", "40", "--sigma-w", "0:1e-4:1e-4",
+                     "--min-bits", "1000"]) == 0
+        assert capsys.readouterr().err.endswith("min ratio 0.0293\n")
 
     def test_variance_formula_is_check_only(self, monkeypatch, capsys):
         import noisemod.cli as cli

@@ -60,3 +60,9 @@ def test_output_bytes_unchanged(capsys, argv, digest):
         f"pinned {digest[:16]} (digests taken with numpy {DIGEST_NUMPY}, "
         f"running numpy {np.__version__})"
     )
+
+
+def test_ci_pins_the_digest_numpy():
+    """The workflow's Python 3.11 job installs the numpy the digests were taken with."""
+    workflow = (REPO_ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    assert f'numpy: "numpy=={DIGEST_NUMPY}"' in workflow

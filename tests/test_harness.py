@@ -436,11 +436,16 @@ class TestRunSweep:
         # samples, so its estimates must not be worse than per-symbol ones
         assert per_bit[2].estimate.bep <= per_sym[2].estimate.bep
 
-    def test_failures_recorded_and_sweep_continues(self):
+    @pytest.mark.parametrize("workers", [1, 2], ids=["in-process", "pool"])
+    def test_failures_recorded_and_sweep_continues(self, monkeypatch, workers):
+        import noisemod.harness as hn
+
         spec = _tiny_spec(
             variable=SweepVariable.SIGMA_W, values=(-1e-5, 1e-5), schemes=(Scheme.KLJN,)
         )
-        result = run_sweep(spec)
+        if workers > 1:  # one symbol per worker is enough, so the sweep really forks
+            monkeypatch.setattr(hn, "SYMBOLS_PER_WORKER", 1)
+        result = run_sweep(spec, workers=workers)
         assert len(result.failures) == 1
         # the exception type, then its message
         assert result.failures[0].error.startswith("ConfigError: sigma_w >= 0 required")

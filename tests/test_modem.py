@@ -87,12 +87,22 @@ class TestSchemeTable:
         patterns = list(itertools.product((0, 1), repeat=scheme.bits_per_symbol))
         for pattern in patterns:
             assert table.bits_of(*table.indices(pattern)) == pattern
-        # the array form gives every row's indices at once
-        rows = np.array(patterns, dtype=np.int8)
-        mean_index, var_index = table.indices(rows)
-        assert [tuple(map(int, table.indices(p))) for p in patterns] == list(
-            zip(np.broadcast_to(mean_index, len(patterns)).tolist(), var_index.tolist())
-        )
+
+    def test_layouts(self, canonical_subs):
+        assert [(s.value, s.layout, s.bits_per_symbol) for s in Scheme] == [
+            ("kljn", ((), (0,)), 1), ("gqnm", ((0,), (1,)), 2), ("cgqnm", ((0, 2), (1, 3)), 4),
+        ]
+        for scheme in Scheme:
+            assert Scheme(scheme.value) is scheme
+            table = scheme_table(scheme, *canonical_subs)
+            assert (table.mean_bits, table.var_bits) == scheme.layout
+
+    def test_missing_subchannel_names_the_scheme(self, canonical_subs):
+        with pytest.raises(ValueError, match="cgqnm needs 2 subchannels"):
+            scheme_table(Scheme.CGQNM, canonical_subs[0])
+        # one subchannel is all GQNM and KLJN read
+        assert scheme_table(Scheme.GQNM, canonical_subs[0]) == scheme_table(
+            Scheme.GQNM, *canonical_subs)
 
     def test_level_counts(self, canonical_subs):
         for scheme, levels in ((Scheme.KLJN, (1, 2)), (Scheme.GQNM, (2, 2)),
