@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 
@@ -103,6 +104,8 @@ def cmd_simulate(args) -> int:
         fairness=Fairness(args.fairness),
         threshold_mode=ThresholdMode(args.threshold_mode),
     )
+    if args.out != "-":
+        _check_writable(args.out)
     _preflight_note(spec)
     result = run_sweep(spec, workers=args.workers)
     for failure in result.failures:
@@ -115,6 +118,19 @@ def cmd_simulate(args) -> int:
         return 1
     emit(result.records, format=args.format, path=args.out)
     return 0
+
+
+def _check_writable(path: str) -> None:
+    """Fail as emit would, before any cell runs, if path cannot be written.
+    An existing file keeps its bytes, and a file made by the check is removed."""
+    existed = os.path.exists(path)
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as e:
+        raise OSError(f"cannot write {path}: {e}") from e
+    if not existed:
+        os.remove(path)
 
 
 def _preflight_note(spec: SweepSpec) -> None:

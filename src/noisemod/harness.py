@@ -27,10 +27,15 @@ from .params import ChannelConfig, SchemeConfig, derive_subchannels
 # Symbols per chunk; bounds the chunk's statistic arrays (1 MB) whatever N is.
 CHUNK_SYMBOLS = 1 << 16
 
-# Least work, in symbols (~0.1 s at ~100 ns a symbol), that pays for
-# forking, warming and joining one pool worker.  run_sweep starts no more
-# workers than the sweep has such shares, so a small sweep runs in-process.
+# Least work, in symbols, for which run_sweep starts a pool worker: 2^20
+# symbols take 0.03-0.05 s at 25-45 ns a symbol (one core of a 2 vCPU
+# Xeon), several times the cost of forking, warming and joining a worker.
+# A sweep with fewer than two such shares runs in-process.
 SYMBOLS_PER_WORKER = 1 << 20
+
+# log(2^-128): a cell draws no mean deviations when every state's chance of
+# leaving its mean region is bounded below this (see _log_mean_error_bounds).
+LOG_NEGLIGIBLE = -128.0 * math.log(2.0)
 
 WILSON_Z = 1.96  # two-sided 95%
 
@@ -116,22 +121,51 @@ def compute_moments(gen, counts, n, sigma_w, sigmas, out):
 
     For n Gaussian samples of variance s2 = sigma^2 + sigma_w^2 the block
     mean deviation is Normal(0, s2/n) and n * var_hat / s2 is independently
-    chi-square(n - 1), i.e. 2 * Gamma((n - 1)/2); one normal and then one
-    gamma draw per symbol give exactly that joint law.  The chunk holds
-    counts[k] symbols of sigma sigmas[k] in turn; the draws are made and
-    scaled in place in out = (mean_dev, var_hat), and no normals for None.
+    chi-square(n - 1): Z^2 for a standard normal Z at n = 2, and
+    2 * Gamma((n - 1)/2) otherwise.  The normals, then the chi-square draws,
+    give exactly that joint law.  The chunk holds counts[k] symbols of sigma
+    sigmas[k] in turn; the draws are made and scaled in place in
+    out = (mean_dev, var_hat), and no normals for None.
     """
     scale = (sigmas * sigmas + sigma_w * sigma_w) / n
     mean_dev, var_hat = out
     if mean_dev is not None:
         gen.standard_normal(out=mean_dev)
-    gen.standard_gamma((n - 1) / 2.0, out=var_hat)
+    if n == 2:
+        np.square(gen.standard_normal(out=var_hat), out=var_hat)
+        chi_scale = 1.0
+    else:
+        gen.standard_gamma((n - 1) / 2.0, out=var_hat)
+        chi_scale = 2.0
     bounds = np.cumsum(counts).tolist()
     for start, stop, s2n in zip([0, *bounds], bounds, scale.tolist()):
         if mean_dev is not None:
             mean_dev[start:stop] *= math.sqrt(s2n)
-        var_hat[start:stop] *= 2.0 * s2n
+        var_hat[start:stop] *= chi_scale * s2n
     return mean_dev, var_hat
+
+
+def _log_mean_error_bounds(mean_th, s2n):
+    """Log of a bound on each state's chance that its mean leaves its region,
+    as rows[variance index][mean index].
+
+    State (m, v) draws a Normal(0, s2n[v]) deviation, and its region's
+    edges are mean_th[m][m - 1] and mean_th[m][m], the adjacent thresholds
+    less level m (a farther one is crossed only through them).  An edge at
+    distance d is crossed with chance at most exp(-d^2 / (2 s2n[v])), the
+    Chernoff bound of the normal tail, and the edges' bounds add.
+    """
+    rows = []
+    for var in s2n:
+        row = []
+        for m, edges in enumerate(mean_th):
+            below = [-edges[m - 1]] if m > 0 else []
+            above = [edges[m]] if m < len(edges) else []
+            logs = sorted(-(d * d) / (2.0 * var) for d in below + above)
+            top = logs.pop() if logs else -math.inf
+            row.append(top + sum(math.log1p(math.exp(e - top)) for e in logs))
+        rows.append(row)
+    return rows
 
 
 def run_point(
@@ -151,8 +185,11 @@ def run_point(
     statistics (see compute_moments) and detected, and errors accumulate
     over all bit positions until at least min_bits bits are counted.  The
     symbols of a chunk are exchangeable, so each chunk of CHUNK_SYMBOLS is
-    drawn state by state: the state counts, the normals (if there are mean
-    bits), then the gammas.  A NoiseSource key fixes the estimate.
+    drawn state by state: the state counts, the mean deviations, then the
+    chi-square draws.  The cell draws no mean deviations, and counts no
+    mean errors, when no state's mean can leave its region with chance
+    2^-128 or more (see _log_mean_error_bounds); a scheme with one mean
+    level has no mean region to leave.  A NoiseSource key fixes the estimate.
     """
     if min_bits < 1:
         raise ValueError("min_bits must be >= 1")
@@ -162,7 +199,9 @@ def run_point(
                           sigma_w=channel.sigma_w)
     table = bank.table
     mean_th = [tuple(t - m for t in bank.mean_thresholds) for m in table.means]
-    var_th, has_mean_bits = bank.effective_var_thresholds, len(table.means) > 1
+    var_th = bank.effective_var_thresholds
+    s2n = [(v + channel.sigma_w * channel.sigma_w) / n for v in table.variances]
+    draw_means = max(map(max, _log_mean_error_bounds(mean_th, s2n))) >= LOG_NEGLIGIBLE
     sigmas = np.sqrt(np.asarray(table.variances))
     bps = scheme.bits_per_symbol
     total_symbols = -(-min_bits // bps)
@@ -172,7 +211,7 @@ def run_point(
     while done < total_symbols:
         n_sym = min(CHUNK_SYMBOLS, total_symbols - done)
         counts = _symbol_states(gen, n_sym, table)
-        out = (work[0, :n_sym] if has_mean_bits else None, work[1, :n_sym])
+        out = (work[0, :n_sym] if draw_means else None, work[1, :n_sym])
         mean_dev, var_hat = compute_moments(gen, counts.sum(axis=1), n, sigma_w, sigmas, out)
         errors += _detect_bits(counts, mean_dev, var_hat, mean_th, var_th)
         done += n_sym
@@ -270,7 +309,7 @@ def _fingerprint(spec: SweepSpec, scheme: Scheme, index: int, n_symbol: int,
         "stream_id": stream_id,
         "fairness": spec.fairness.value,
         "threshold_mode": spec.threshold_mode.value,
-        "sampler": "suffstat-bystate",
+        "sampler": "suffstat-meanskip-z2",
         "config": {name: list(sub.values()) for name, sub in asdict(spec.scheme_config).items()},
     }
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -334,6 +334,33 @@ class TestSimulate:
         assert code == 2
         assert "no-such-dir" in capsys.readouterr().err
 
+    def test_unwritable_output_fails_before_any_cell(self, monkeypatch, capsys):
+        import noisemod.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "run_sweep", lambda *args, **kwargs: calls.append(args))
+        code = main([
+            "simulate", "--scheme", "gqnm", "--n", "2", "--min-bits", "1000",
+            "--out", "/nonexistent/x.csv",
+        ])
+        assert code == 2 and calls == []
+        assert "cannot write /nonexistent/x.csv" in capsys.readouterr().err
+
+    def test_failed_sweep_leaves_the_output_path_alone(self, monkeypatch, tmp_path):
+        import noisemod.cli as cli
+        from noisemod.harness import SweepResult
+
+        # every cell fails, so nothing is emitted: an existing file keeps its
+        # bytes, and the early path check leaves no new file behind
+        monkeypatch.setattr(cli, "run_sweep", lambda spec, workers: SweepResult((), ()))
+        old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+        old.write_text("an earlier run\n")
+        for out in (old, new):
+            argv = ["simulate", "--scheme", "kljn", "--n", "4", "--min-bits", "1000",
+                    "--out", str(out)]
+            assert main(argv) == 1
+        assert old.read_text() == "an earlier run\n" and not new.exists()
+
     def test_literal_config_runs(self, tmp_path):
         out = tmp_path / "run.csv"
         code = main([
@@ -346,10 +373,12 @@ class TestSimulate:
 
 def test_import_loads_no_process_pool():
     # a pool is started only by a sweep big enough for one; importing the
-    # CLI must not pay for multiprocessing on every start
+    # CLI must not pay for multiprocessing on every start, nor for scipy
+    # (~0.8 s to import), which the sampler's 2^-128 rule does without
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import noisemod.cli; "
-        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing', 'scipy')"
+        " if m in sys.modules))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code, str(REPO_ROOT / "src")],

@@ -24,14 +24,14 @@ DIGEST_NUMPY = "2.4.6"
 GOLDEN = [
     pytest.param(
         ["simulate", "--scheme", "all", "--n", "2:10:4", "--min-bits", "20000", "--seed", "7"],
-        "f3ebe15424779c546085ad4ec7e82998a6508a8f84f25b0d20bbcfb3d566e176",
+        "6eb1510b8cad844df90d6901af5406c7b74822fd5cd421a795d45d308053036c",
         id="simulate-n-sweep",
     ),
     pytest.param(
         ["simulate", "--scheme", "all", "--config", LITERAL_CFG, "--n", "6",
          "--sigma-w", "0:4e-5:2e-5", "--threshold-mode", "paper",
          "--fairness", "per-symbol", "--min-bits", "20000", "--seed", "7"],
-        "2bb6a89e384e765235b36a241fd3fa15fabee41484bae96660b1284cd566e83d",
+        "9cf064bc906c225b9d76631c9e3e6a11fdf04f37fd56e378e7f38b851e365f1d",
         id="simulate-sigma-sweep-literal",
     ),
     pytest.param(

@@ -38,10 +38,22 @@ from noisemod import (
 )
 from noisemod.harness import (
     CSV_COLUMNS,
+    LOG_NEGLIGIBLE,
     BepEstimate,
     _detect_bits,
+    _log_mean_error_bounds,
     _symbol_states,
     compute_moments,
+)
+
+from test_analysis import explicit_configs
+
+# Mean levels 0, 5e-5, 2e-4 and 2.5e-4 with the canonical variances: at 8
+# samples per symbol and sigma_w = 2e-5 a GQNM mean sits ~2.4 block spreads
+# from its threshold, so its mean can err and every cell draws normals.
+NEAR_THRESHOLD = SchemeConfig(
+    SubchannelParams(m_L=0.0, m_H=5e-5, var_0=1e-10, var_1=5e-10),
+    SubchannelParams(m_L=0.0, m_H=2e-4, var_0=2e-9, var_1=1e-8),
 )
 
 
@@ -106,10 +118,17 @@ class TestRunPoint:
     # 1000 symbols at n = 8 and sigma_w = 2e-5 from NoiseSource(2024, 3), in
     # 64-symbol chunks (15 full and a short one of 40): the estimates of the
     # state-by-state sampler, which every rewrite of the chunk loop must keep.
+    # No mean of the default config can err, so GQNM and CGQNM draw no normals.
     PINNED = {
         Scheme.KLJN: BepEstimate(296, 1000, 0.296, 0.26853048540606317, 0.32503088921718415),
-        Scheme.GQNM: BepEstimate(319, 2000, 0.1595, 0.1441080153452353, 0.17619754174071403),
-        Scheme.CGQNM: BepEstimate(664, 4000, 0.166, 0.15479064613266239, 0.17785028551658164),
+        Scheme.GQNM: BepEstimate(312, 2000, 0.156, 0.1407582213108657, 0.17256075559828718),
+        Scheme.CGQNM: BepEstimate(642, 4000, 0.1605, 0.14945094608082504, 0.17220053983210415),
+    }
+    # The same on NEAR_THRESHOLD, whose cells draw normals as every cell did
+    # before the 2^-128 rule: the estimates of the "suffstat-bystate" sampler.
+    PINNED_NEAR_THRESHOLD = {
+        Scheme.GQNM: BepEstimate(328, 2000, 0.164, 0.14841888040129414, 0.1808694226262506),
+        Scheme.CGQNM: BepEstimate(811, 4000, 0.20275, 0.19057832784935125, 0.21549208212890558),
     }
 
     @pytest.mark.parametrize("scheme", list(Scheme))
@@ -124,6 +143,17 @@ class TestRunPoint:
         assert est == self.PINNED[scheme]
         assert type(est.errors) is int
 
+    @pytest.mark.parametrize("scheme", [Scheme.GQNM, Scheme.CGQNM])
+    def test_pinned_estimate_where_means_can_err(self, monkeypatch, scheme):
+        import noisemod.harness as hn
+
+        monkeypatch.setattr(hn, "CHUNK_SYMBOLS", 64)
+        est = run_point(
+            scheme, NEAR_THRESHOLD, ChannelConfig(2e-5), 8, 1000 * scheme.bits_per_symbol,
+            NoiseSource(2024, 3),
+        )
+        assert est == self.PINNED_NEAR_THRESHOLD[scheme]
+
     @pytest.mark.parametrize("sigma_w", [0.0, 2e-5])
     @pytest.mark.parametrize("n", [2, 7])
     def test_moments_match_per_symbol_formula(self, n, sigma_w):
@@ -134,32 +164,37 @@ class TestRunPoint:
         gen = NoiseSource(31, n).generator
         scale = (sigmas * sigmas + sigma_w * sigma_w) / n
         want_dev = np.sqrt(scale) * gen.standard_normal(k)
-        want_var = 2.0 * scale * gen.standard_gamma((n - 1) / 2.0, k)
+        if n == 2:  # chi-square(1) is a squared standard normal
+            want_var = scale * gen.standard_normal(k) ** 2
+        else:
+            want_var = 2.0 * scale * gen.standard_gamma((n - 1) / 2.0, k)
         dev, var_hat = compute_moments(
             NoiseSource(31, n).generator, np.ones(k, np.intp), n, sigma_w, sigmas, np.empty((2, k))
         )
         assert np.array_equal(dev, want_dev) and np.array_equal(var_hat, want_var)
 
     def test_matches_blockwise_reference_path(self):
-        # replay one chunk's stream (state counts, normals, gammas) and detect
-        # each symbol of the state-by-state layout with the scalar detector
+        # replay one chunk's stream (state counts, normals where a mean can
+        # err, gammas) and detect each symbol of the state-by-state layout
+        # with the scalar detector; a mean that is not drawn is its level
         n_sym, n, sigma_w = 64, 50, 2e-5
-        sub0, sub1 = derive_subchannels(DEFAULT_SCHEME)
-        for scheme in Scheme:
-            bank = threshold_bank(scheme, sub0, sub1, sigma_w=sigma_w)
+        configs = ((DEFAULT_SCHEME, False), (NEAR_THRESHOLD, True))
+        for (config, draws_means), scheme in itertools.product(configs, Scheme):
+            bank = threshold_bank(scheme, *derive_subchannels(config), sigma_w=sigma_w)
             table, var_th = bank.table, bank.effective_var_thresholds
             n_mean, n_var = len(table.means), len(table.variances)
             gen = NoiseSource(77, 5).generator
             counts = gen.multinomial(n_sym, [1.0 / (n_mean * n_var)] * (n_mean * n_var))
             states = [(s % n_mean, s // n_mean) for s, c in enumerate(counts) for _ in range(c)]
-            out = (np.empty(n_sym) if n_mean > 1 else None, np.empty(n_sym))
+            drawn = draws_means and n_mean > 1
+            out = (np.empty(n_sym) if drawn else None, np.empty(n_sym))
             mean_dev, var_hat = compute_moments(
                 gen, counts.reshape(n_var, n_mean).sum(axis=1), n, sigma_w,
                 np.sqrt(table.variances), out,
             )
             manual_errors = 0
             for k, (i, j) in enumerate(states):
-                mean_hat = table.means[i] + (mean_dev[k] if n_mean > 1 else 0.0)
+                mean_hat = table.means[i] + (mean_dev[k] if drawn else 0.0)
                 got = detect_bits(mean_hat, var_hat[k], bank)
                 if scheme is Scheme.GQNM:
                     assert got == (bisect_right(bank.mean_thresholds, mean_hat),
@@ -168,7 +203,7 @@ class TestRunPoint:
                     assert got == (bisect_right(var_th, var_hat[k]),)
                 manual_errors += sum(a != b for a, b in zip(got, table.bits_of(i, j)))
             est = run_point(
-                scheme, DEFAULT_SCHEME, ChannelConfig(sigma_w), n,
+                scheme, config, ChannelConfig(sigma_w), n,
                 scheme.bits_per_symbol * n_sym, NoiseSource(77, 5),
             )
             assert est.errors == manual_errors
@@ -253,6 +288,32 @@ class TestDetectionProperty:
         assert got == want
 
 
+class TestMeanErrorBound:
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(config=explicit_configs(), n=st.integers(2, 4000), sigma_w=st.floats(0.0, 1e-3))
+    def test_skipped_means_cannot_err(self, config, n, sigma_w):
+        """Where run_point's rule drops a cell's normals, every state's exact
+        chance of leaving its mean region is within the bound and below 2^-128."""
+        norm = pytest.importorskip("scipy.stats").norm
+        for scheme in Scheme:
+            try:
+                bank = threshold_bank(scheme, *derive_subchannels(config), sigma_w=sigma_w)
+            except DegenerateLevelsError:
+                continue
+            mean_th = [tuple(t - m for t in bank.mean_thresholds) for m in bank.table.means]
+            s2n = [(v + sigma_w * sigma_w) / n for v in bank.table.variances]
+            bounds = _log_mean_error_bounds(mean_th, s2n)
+            if max(map(max, bounds)) >= LOG_NEGLIGIBLE:
+                continue  # the cell draws normals
+            for row, var in zip(bounds, s2n):
+                for m, (edges, bound) in enumerate(zip(mean_th, row)):
+                    below = edges[m - 1] if m > 0 else -math.inf
+                    above = edges[m] if m < len(edges) else math.inf
+                    exact = np.logaddexp(norm.logcdf(below / math.sqrt(var)),
+                                         norm.logsf(above / math.sqrt(var)))
+                    assert exact <= bound and exact < LOG_NEGLIGIBLE
+
+
 class TestSamplerAgreement:
     """The closed-form moment draw against real samples (modulate/awgn/estimate)."""
 
@@ -280,23 +341,30 @@ class TestSamplerAgreement:
             assert abs(a.mean() - b.mean()) < 4 * math.sqrt(2 * v / k)
             assert abs(a.var() - b.var()) < 4 * math.sqrt(2 * v * v * (2 + excess) / k)
 
-    @pytest.mark.parametrize("scheme", list(Scheme))
-    def test_bep_matches_per_sample_path(self, scheme):
-        n, sigma_w, k = 8, 2e-5, 20_000
+    @pytest.mark.parametrize("scheme, config, n", [
+        *((scheme, DEFAULT_SCHEME, 8) for scheme in Scheme),
+        *((scheme, DEFAULT_SCHEME, 2) for scheme in Scheme),
+        (Scheme.GQNM, NEAR_THRESHOLD, 8),
+        (Scheme.CGQNM, NEAR_THRESHOLD, 8),
+    ], ids=[*map(str, Scheme), *(f"{scheme}-n2" for scheme in Scheme),
+            "Scheme.GQNM-near-threshold", "Scheme.CGQNM-near-threshold"])
+    def test_bep_matches_per_sample_path(self, scheme, config, n):
+        sigma_w, k = 2e-5, 20_000
         bps = scheme.bits_per_symbol
-        sub0, sub1 = derive_subchannels(DEFAULT_SCHEME)
+        sub0, sub1 = derive_subchannels(config)
         bank = threshold_bank(scheme, sub0, sub1, sigma_w=sigma_w)
+        # select_state draws nothing, so each bit pattern's state is looked up once
+        states = {bits: select_state(SymbolBits(scheme, bits), sub0, sub1)
+                  for bits in itertools.product((0, 1), repeat=bps)}
         rng = NoiseSource(818)
         errors = 0
         for row in rng.generator.integers(0, 2, size=(k, bps)):
-            bits = SymbolBits(scheme, tuple(int(b) for b in row))
-            block = awgn(modulate(select_state(bits, sub0, sub1), n, rng), sigma_w, rng)
+            bits = tuple(int(b) for b in row)
+            block = awgn(modulate(states[bits], n, rng), sigma_w, rng)
             got = detect_symbol(block, bank).bits
-            errors += sum(a != b for a, b in zip(got, bits.bits))
+            errors += sum(a != b for a, b in zip(got, bits))
         low, high = wilson_interval(errors, bps * k)
-        est = run_point(
-            scheme, DEFAULT_SCHEME, ChannelConfig(sigma_w), n, bps * k, NoiseSource(819)
-        )
+        est = run_point(scheme, config, ChannelConfig(sigma_w), n, bps * k, NoiseSource(819))
         assert est.ci_low <= high and low <= est.ci_high
 
     @pytest.mark.parametrize("scheme", list(Scheme))
@@ -324,30 +392,48 @@ class TestSamplerAgreement:
 
     @pytest.mark.parametrize("scheme, per_chunk", [
         (Scheme.KLJN, ["multinomial", "standard_gamma"]),
-        (Scheme.GQNM, ["multinomial", "standard_normal", "standard_gamma"]),
-        (Scheme.CGQNM, ["multinomial", "standard_normal", "standard_gamma"]),
+        (Scheme.GQNM, ["multinomial", "standard_gamma"]),
+        (Scheme.CGQNM, ["multinomial", "standard_gamma"]),
     ])
     def test_stream_order_per_chunk(self, monkeypatch, scheme, per_chunk):
-        # KLJN has one mean level and no mean bits, so it draws no normals
-        import noisemod.harness as hn
+        # KLJN has one mean level, and no mean of the default config can err
+        # with chance 2^-128, so no scheme draws normals for the mean
+        assert _draws_per_run(monkeypatch, scheme, DEFAULT_SCHEME, 8) == per_chunk * 3
 
-        calls = []
+    @pytest.mark.parametrize("scheme, config, n, per_chunk", [
+        (Scheme.GQNM, NEAR_THRESHOLD, 8, ["multinomial", "standard_normal", "standard_gamma"]),
+        (Scheme.CGQNM, NEAR_THRESHOLD, 8, ["multinomial", "standard_normal", "standard_gamma"]),
+        (Scheme.KLJN, DEFAULT_SCHEME, 2, ["multinomial", "standard_normal"]),
+        (Scheme.CGQNM, NEAR_THRESHOLD, 2, ["multinomial", "standard_normal", "standard_normal"]),
+    ], ids=["gqnm-near-threshold", "cgqnm-near-threshold", "kljn-n2", "cgqnm-near-threshold-n2"])
+    def test_stream_order_where_means_can_err_or_n_is_2(self, monkeypatch, scheme, config, n,
+                                                      per_chunk):
+        # a mean that can err is drawn, and at n = 2 the chi-square(1) draw
+        # is a standard normal, squared
+        assert _draws_per_run(monkeypatch, scheme, config, n) == per_chunk * 3
 
-        class Recording:
-            def __init__(self, gen):
-                self._gen = gen
 
-            def __getattr__(self, name):
-                calls.append(name)
-                return getattr(self._gen, name)
+def _draws_per_run(monkeypatch, scheme, config, n):
+    """The generator methods one run_point call uses, in order, over 150
+    symbols in chunks of 64, 64 and 22."""
+    import noisemod.harness as hn
 
-        class Source:
-            generator = Recording(NoiseSource(838).generator)
+    calls = []
 
-        monkeypatch.setattr(hn, "CHUNK_SYMBOLS", 64)
-        bps = scheme.bits_per_symbol
-        run_point(scheme, DEFAULT_SCHEME, ChannelConfig(2e-5), 8, 150 * bps, Source())
-        assert calls == per_chunk * 3  # chunks of 64, 64 and 22 symbols
+    class Recording:
+        def __init__(self, gen):
+            self._gen = gen
+
+        def __getattr__(self, name):
+            calls.append(name)
+            return getattr(self._gen, name)
+
+    class Source:
+        generator = Recording(NoiseSource(838).generator)
+
+    monkeypatch.setattr(hn, "CHUNK_SYMBOLS", 64)
+    run_point(scheme, config, ChannelConfig(2e-5), n, 150 * scheme.bits_per_symbol, Source())
+    return calls
 
 
 def _tiny_spec(**overrides):
