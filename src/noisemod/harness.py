@@ -34,7 +34,8 @@ CHUNK_SYMBOLS = 1 << 16
 SYMBOLS_PER_WORKER = 1 << 20
 
 # log(2^-128): a cell draws no mean deviations when every state's chance of
-# leaving its mean region is bounded below this (see _log_mean_error_bounds).
+# leaving its mean region is bounded below this (see _log_mean_error_bounds),
+# and nothing at all when every variance level's is too (_log_var_error_bounds).
 LOG_NEGLIGIBLE = -128.0 * math.log(2.0)
 
 WILSON_Z = 1.96  # two-sided 95%
@@ -145,6 +146,15 @@ def compute_moments(gen, counts, n, sigma_w, sigmas, out):
     return mean_dev, var_hat
 
 
+def _log_sum_exp(logs):
+    """log(sum(exp(e) for e in logs)) in math only; -inf for no terms."""
+    logs = sorted(logs)
+    top = logs.pop() if logs else -math.inf
+    if top == -math.inf:
+        return top
+    return top + sum(math.log1p(math.exp(e - top)) for e in logs)
+
+
 def _log_mean_error_bounds(mean_th, s2n):
     """Log of a bound on each state's chance that its mean leaves its region,
     as rows[variance index][mean index].
@@ -161,11 +171,37 @@ def _log_mean_error_bounds(mean_th, s2n):
         for m, edges in enumerate(mean_th):
             below = [-edges[m - 1]] if m > 0 else []
             above = [edges[m]] if m < len(edges) else []
-            logs = sorted(-(d * d) / (2.0 * var) for d in below + above)
-            top = logs.pop() if logs else -math.inf
-            row.append(top + sum(math.log1p(math.exp(e - top)) for e in logs))
+            row.append(_log_sum_exp(-(d * d) / (2.0 * var) for d in below + above))
         rows.append(row)
     return rows
+
+
+def _log_var_error_bounds(var_th, s2n, n):
+    """Log of a bound on each variance level's chance that its sample
+    variance leaves its region.
+
+    Level v draws s2n[v] times a chi-square(k) variate, k = n - 1, and its
+    region's edges are the adjacent thresholds var_th[v - 1] and var_th[v].
+    At x = t / (s2n[v] k), edge t is crossed with chance at most
+    exp(-(k/2)(x - 1 - ln x)), the Chernoff bound of chi-square(k), when t
+    lies beyond the variate's mean (x > 1 above it, x < 1 below it), and
+    with chance at most 1 otherwise.  The edges' bounds add.
+    """
+    k = n - 1
+    levels = []
+    for v, var in enumerate(s2n):
+        below = [(var_th[v - 1], False)] if v > 0 else []
+        above = [(var_th[v], True)] if v < len(var_th) else []
+        logs = []
+        for t, upper in below + above:
+            x = t / (var * k)
+            if not (x > 1.0 if upper else x < 1.0):
+                logs.append(0.0)
+                continue
+            d = x - 1.0  # exact for x >= 0.5, so log1p keeps x - 1 - ln x exact near 1
+            logs.append(-0.5 * k * (d - (math.log1p(d) if x >= 0.5 else math.log(x))))
+        levels.append(_log_sum_exp(logs))
+    return levels
 
 
 def run_point(
@@ -189,7 +225,11 @@ def run_point(
     chi-square draws.  The cell draws no mean deviations, and counts no
     mean errors, when no state's mean can leave its region with chance
     2^-128 or more (see _log_mean_error_bounds); a scheme with one mean
-    level has no mean region to leave.  A NoiseSource key fixes the estimate.
+    level has no mean region to leave.  When, besides, no variance level's
+    sample variance can leave its region with chance 2^-128 or more (see
+    _log_var_error_bounds), no bit can err: the cell draws nothing, not
+    even the state counts, and reports 0 errors over the bits it would
+    have drawn.  A NoiseSource key fixes the estimate.
     """
     if min_bits < 1:
         raise ValueError("min_bits must be >= 1")
@@ -202,9 +242,12 @@ def run_point(
     var_th = bank.effective_var_thresholds
     s2n = [(v + channel.sigma_w * channel.sigma_w) / n for v in table.variances]
     draw_means = max(map(max, _log_mean_error_bounds(mean_th, s2n))) >= LOG_NEGLIGIBLE
-    sigmas = np.sqrt(np.asarray(table.variances))
     bps = scheme.bits_per_symbol
     total_symbols = -(-min_bits // bps)
+    bits_counted = total_symbols * bps
+    if not draw_means and max(_log_var_error_bounds(var_th, s2n, n)) < LOG_NEGLIGIBLE:
+        return BepEstimate(0, bits_counted, 0.0, *wilson_interval(0, bits_counted))
+    sigmas = np.sqrt(np.asarray(table.variances))
     work = np.empty((2, min(CHUNK_SYMBOLS, total_symbols)))  # per cell: freed ones fault in again
     gen, sigma_w = rng.generator, channel.sigma_w
     errors = done = 0
@@ -215,7 +258,6 @@ def run_point(
         mean_dev, var_hat = compute_moments(gen, counts.sum(axis=1), n, sigma_w, sigmas, out)
         errors += _detect_bits(counts, mean_dev, var_hat, mean_th, var_th)
         done += n_sym
-    bits_counted = total_symbols * bps
     low, high = wilson_interval(errors, bits_counted)
     return BepEstimate(errors, bits_counted, errors / bits_counted, low, high)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -126,6 +127,7 @@ def _midpoints(levels) -> tuple[float, ...]:
     return tuple((a + b) / 2.0 for a, b in zip(levels, levels[1:]))
 
 
+@lru_cache(maxsize=256)
 def scheme_table(
     scheme: Scheme,
     sub0: SubchannelParams,
@@ -138,6 +140,7 @@ def scheme_table(
     Raises ValueError if the layout needs a subchannel that is missing, and
     DegenerateLevelsError if two levels coincide or a level set does not
     ascend in index order (either way midpoint detection is meaningless).
+    The inputs and the table are frozen, so equal arguments share one table.
     """
     mean_bits, var_bits = scheme.layout
     subs = (sub0, sub1)[:max(len(mean_bits), len(var_bits))]

@@ -35,6 +35,14 @@ GOLDEN = [
         id="simulate-sigma-sweep-literal",
     ),
     pytest.param(
+        # noise-free long blocks: KLJN and GQNM cannot err and draw nothing,
+        # while CGQNM's close variance levels are drawn
+        ["simulate", "--scheme", "all", "--n", "2000", "--sigma-w", "0", "--min-bits", "20000",
+         "--seed", "7"],
+        "946b9d176e975f894ea660d0f3407a506d9325ce387fb8f97657f994e7dcdd0a",
+        id="simulate-noise-free-long-blocks",
+    ),
+    pytest.param(
         ["derive"], "b996a3324be5ffc1675ba07056cc93f940ecfa3c4177634ce427ee11849a3f4f",
         id="derive",
     ),

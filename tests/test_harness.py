@@ -42,6 +42,7 @@ from noisemod.harness import (
     BepEstimate,
     _detect_bits,
     _log_mean_error_bounds,
+    _log_var_error_bounds,
     _symbol_states,
     compute_moments,
 )
@@ -114,6 +115,22 @@ class TestRunPoint:
         # estimate must stay statistically identical and deterministic
         assert chunked.bits == whole.bits
         assert abs(chunked.bep - whole.bep) < 6 * (whole.ci_high - whole.ci_low)
+
+    @pytest.mark.parametrize("scheme, n", [(Scheme.KLJN, 2000), (Scheme.GQNM, 4000)])
+    def test_certain_cell_draws_nothing(self, scheme, n):
+        # noise-free canonical KLJN and GQNM at 2000 samples per bit: no mean
+        # or variance can leave its region with chance 2^-128, so the cell
+        # reports 0 errors without creating its generator
+        rng = NoiseSource(1)
+        est = run_point(scheme, DEFAULT_SCHEME, ChannelConfig(0.0), n, 100_000, rng)
+        assert est == BepEstimate(0, 100_000, 0.0, *wilson_interval(0, 100_000))
+        assert rng._gen is None
+
+    def test_uncertain_cell_draws(self):
+        # canonical CGQNM's top variance levels, 101e-10 and 105e-10, can err
+        rng = NoiseSource(1)
+        est = run_point(Scheme.CGQNM, DEFAULT_SCHEME, ChannelConfig(0.0), 8000, 100_000, rng)
+        assert est.errors > 0 and rng._gen is not None
 
     # 1000 symbols at n = 8 and sigma_w = 2e-5 from NoiseSource(2024, 3), in
     # 64-symbol chunks (15 full and a short one of 40): the estimates of the
@@ -312,6 +329,48 @@ class TestMeanErrorBound:
                     exact = np.logaddexp(norm.logcdf(below / math.sqrt(var)),
                                          norm.logsf(above / math.sqrt(var)))
                     assert exact <= bound and exact < LOG_NEGLIGIBLE
+
+
+def _var_bounds(scheme, config, n, sigma_w, mode=ThresholdMode.NOISE_ADJUSTED):
+    """run_point's variance thresholds, s2n and log bounds for one cell."""
+    bank = threshold_bank(scheme, *derive_subchannels(config), mode=mode, sigma_w=sigma_w)
+    s2n = [(v + sigma_w * sigma_w) / n for v in bank.table.variances]
+    var_th = bank.effective_var_thresholds
+    return var_th, s2n, _log_var_error_bounds(var_th, s2n, n)
+
+
+class TestVarErrorBound:
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(config=explicit_configs(), n=st.integers(2, 10**6), sigma_w=st.floats(0.0, 1e-3),
+           mode=st.sampled_from(list(ThresholdMode)))
+    def test_negligible_bounds_hold(self, config, n, sigma_w, mode):
+        """Where a level's bound is below 2^-128, its exact chance of leaving
+        its variance region is within the bound."""
+        chi2 = pytest.importorskip("scipy.stats").chi2
+        for scheme in Scheme:
+            try:
+                var_th, s2n, bounds = _var_bounds(scheme, config, n, sigma_w, mode)
+            except DegenerateLevelsError:
+                continue
+            for v, (var, bound) in enumerate(zip(s2n, bounds)):
+                if bound >= LOG_NEGLIGIBLE:
+                    continue
+                below = chi2.logcdf(var_th[v - 1], n - 1, scale=var) if v > 0 else -math.inf
+                above = chi2.logsf(var_th[v], n - 1, scale=var) if v < len(var_th) else -math.inf
+                assert np.logaddexp(below, above) <= bound
+
+    def test_canonical_composite_is_not_certain(self):
+        # 2000 samples per bit, noise-free: the levels 101e-10 and 105e-10
+        # sit too close for their sample variances to be certain
+        _, _, bounds = _var_bounds(Scheme.CGQNM, DEFAULT_SCHEME, 8000, 0.0)
+        assert bounds[2] >= LOG_NEGLIGIBLE and bounds[3] >= LOG_NEGLIGIBLE
+
+    def test_mean_past_its_threshold_gets_bound_one(self):
+        # paper thresholds ignore sigma_w^2, which lifts level 0's mean
+        # (1e-10 + 4e-10, less a 1/n share) past its threshold 3e-10
+        _, s2n, bounds = _var_bounds(Scheme.KLJN, DEFAULT_SCHEME, 2000, 2e-5,
+                                     ThresholdMode.MIDPOINT)
+        assert s2n[0] * 1999 > 3e-10 and bounds[0] == 0.0
 
 
 class TestSamplerAgreement:

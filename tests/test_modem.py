@@ -1,6 +1,7 @@
 """Modulator state selection, sample generation, and channel tests."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -103,6 +104,17 @@ class TestSchemeTable:
         # one subchannel is all GQNM and KLJN read
         assert scheme_table(Scheme.GQNM, canonical_subs[0]) == scheme_table(
             Scheme.GQNM, *canonical_subs)
+
+    def test_one_table_per_key(self, canonical_subs):
+        # equal (scheme, sub0, sub1) share one frozen table, so the per-symbol
+        # path does not rebuild it for each symbol
+        sub0, sub1 = canonical_subs
+        scheme_table.cache_clear()
+        for pattern in itertools.product((0, 1), repeat=4):
+            # equal copies, so the key is compared by value
+            select_state(SymbolBits(Scheme.CGQNM, pattern), replace(sub0), replace(sub1))
+        assert scheme_table.cache_info().misses == 1
+        assert scheme_table(Scheme.CGQNM, sub0, sub1) is scheme_table(Scheme.CGQNM, sub0, sub1)
 
     def test_level_counts(self, canonical_subs):
         for scheme, levels in ((Scheme.KLJN, (1, 2)), (Scheme.GQNM, (2, 2)),
