@@ -11,12 +11,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import sys
+import threading
 import time
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from enum import Enum
-from functools import partial
 
 import numpy as np
 
@@ -27,11 +27,12 @@ from .params import ChannelConfig, SchemeConfig, derive_subchannels
 # Symbols per chunk; bounds the chunk's statistic arrays (1 MB) whatever N is.
 CHUNK_SYMBOLS = 1 << 16
 
-# Least work, in symbols, for which run_sweep starts a pool worker: 2^20
-# symbols take 0.03-0.05 s at 25-45 ns a symbol (one core of a 2 vCPU
-# Xeon), several times the cost of forking, warming and joining a worker.
-# A sweep with fewer than two such shares runs in-process.
-SYMBOLS_PER_WORKER = 1 << 20
+# Least work, in symbols, for which run_sweep starts a worker thread: 2^18
+# symbols take 6-12 ms at 25-45 ns a symbol (one core of a 2 vCPU Xeon),
+# against 75-110 us to start and join a thread.  A 175k-symbol sweep put on
+# two threads ran slower than on one in 5 of 6 rounds of 60 sweeps.  A sweep
+# with fewer than two such shares runs on the calling thread alone.
+SYMBOLS_PER_WORKER = 1 << 18
 
 # log(2^-128): a cell draws no mean deviations when every state's chance of
 # leaving its mean region is bounded below this (see _log_mean_error_bounds),
@@ -213,6 +214,7 @@ def run_point(
     rng: NoiseSource,
     *,
     threshold_mode: ThresholdMode = ThresholdMode.NOISE_ADJUSTED,
+    buffer: np.ndarray | None = None,
 ) -> BepEstimate:
     """Estimate the BEP of one scheme at one operating point.
 
@@ -229,7 +231,9 @@ def run_point(
     sample variance can leave its region with chance 2^-128 or more (see
     _log_var_error_bounds), no bit can err: the cell draws nothing, not
     even the state counts, and reports 0 errors over the bits it would
-    have drawn.  A NoiseSource key fixes the estimate.
+    have drawn.  A NoiseSource key fixes the estimate.  `buffer`, a float64
+    array of shape (2, >= min(CHUNK_SYMBOLS, symbols)), holds the chunk's
+    statistics (run_sweep reuses one per worker); None allocates one.
     """
     if min_bits < 1:
         raise ValueError("min_bits must be >= 1")
@@ -248,13 +252,19 @@ def run_point(
     if not draw_means and max(_log_var_error_bounds(var_th, s2n, n)) < LOG_NEGLIGIBLE:
         return BepEstimate(0, bits_counted, 0.0, *wilson_interval(0, bits_counted))
     sigmas = np.sqrt(np.asarray(table.variances))
-    work = np.empty((2, min(CHUNK_SYMBOLS, total_symbols)))  # per cell: freed ones fault in again
+    chunk = min(CHUNK_SYMBOLS, total_symbols)
+    if buffer is None:
+        buffer = np.empty((2, chunk))
+    elif (buffer.dtype != np.float64 or buffer.ndim != 2 or buffer.shape[0] != 2
+          or buffer.shape[1] < chunk):
+        raise ValueError(f"buffer must be float64 of shape (2, >= {chunk}), "
+                         f"got {buffer.dtype} {buffer.shape}")
     gen, sigma_w = rng.generator, channel.sigma_w
     errors = done = 0
     while done < total_symbols:
         n_sym = min(CHUNK_SYMBOLS, total_symbols - done)
         counts = _symbol_states(gen, n_sym, table)
-        out = (work[0, :n_sym] if draw_means else None, work[1, :n_sym])
+        out = (buffer[0, :n_sym] if draw_means else None, buffer[1, :n_sym])
         mean_dev, var_hat = compute_moments(gen, counts.sum(axis=1), n, sigma_w, sigmas, out)
         errors += _detect_bits(counts, mean_dev, var_hat, mean_th, var_th)
         done += n_sym
@@ -358,7 +368,8 @@ def _fingerprint(spec: SweepSpec, scheme: Scheme, index: int, n_symbol: int,
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _run_cell(spec: SweepSpec, scheme: Scheme, index: int) -> RunRecord:
+def _run_cell(spec: SweepSpec, scheme: Scheme, index: int,
+              buffer: np.ndarray | None = None) -> RunRecord:
     n_point, sigma_w = spec.point(index)
     n_symbol = spec.n_symbol(scheme, n_point)
     stream_id = stable_stream_id(scheme.value, index)
@@ -366,7 +377,7 @@ def _run_cell(spec: SweepSpec, scheme: Scheme, index: int) -> RunRecord:
     t0 = time.perf_counter()
     est = run_point(
         scheme, spec.scheme_config, ChannelConfig(sigma_w), n_symbol, spec.min_bits, rng,
-        threshold_mode=spec.threshold_mode,
+        threshold_mode=spec.threshold_mode, buffer=buffer,
     )
     wall = time.perf_counter() - t0
     return RunRecord(
@@ -383,40 +394,72 @@ def _run_cell(spec: SweepSpec, scheme: Scheme, index: int) -> RunRecord:
 
 
 def _pool_size(spec: SweepSpec, cells, workers: int) -> int:
-    """Processes for a sweep: at most `workers`, one per cell, and one per
-    SYMBOLS_PER_WORKER symbols (a cell's cost is its symbol count)."""
+    """Threads for a sweep, the calling one included: at most `workers` and
+    the CPU count, one per cell, and one per SYMBOLS_PER_WORKER symbols (a
+    cell's cost is its symbol count)."""
     symbols = sum(-(-spec.min_bits // scheme.bits_per_symbol) for scheme, _ in cells)
-    return max(1, min(workers, len(cells), symbols // SYMBOLS_PER_WORKER))
+    return max(1, min(workers, os.cpu_count() or 1, len(cells), symbols // SYMBOLS_PER_WORKER))
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """Run every (scheme x value) cell of a sweep on up to `workers` processes.
+    """Run every (scheme x value) cell of a sweep on up to `workers` threads.
 
-    Cell failures are collected, not raised, and the remaining cells still
-    run.  Records come back in grid order regardless of worker count, and
-    their contents are independent of it.  Sweeps too small to pay for a
-    process pool (see SYMBOLS_PER_WORKER) run in this process.
+    The calling thread and _pool_size - 1 daemon helpers take cells in grid
+    order from one shared iterator; numpy's fills release the GIL, so the
+    threads draw in parallel.  A cell's Exception is recorded as its
+    CellFailure and the remaining cells still run.  Records come back in
+    grid order, and their contents are independent of the worker count,
+    since every cell owns its noise stream.  A BaseException (Ctrl-C) in
+    the calling thread stops the helpers from taking new cells and is
+    re-raised at once, without waiting for cells in flight; one in a helper
+    is re-raised after the helpers are joined.
     """
     if workers < 1:
         raise ValueError(f"workers >= 1 required, got {workers}")
     cells = [(scheme, i) for scheme in spec.schemes for i in range(len(spec.values))]
-    processes = _pool_size(spec, cells, workers)
-    pool = None
-    if processes > 1:
-        from concurrent.futures import ProcessPoolExecutor  # here, to keep it out of CLI start-up
+    outcomes = [None] * len(cells)
+    pending = enumerate(cells)
+    lock = threading.Lock()
+    halted = []  # BaseExceptions that stop the sweep
 
-        pool = ProcessPoolExecutor(max_workers=processes)
-    records, failures = [], []
-    with pool or nullcontext():
-        # each cell's result, asked for in grid order; in-process cells run when asked
-        results = [pool.submit(_run_cell, spec, *cell).result if pool
-                   else partial(_run_cell, spec, *cell) for cell in cells]
-        for (scheme, i), result in zip(cells, results):
+    def take():
+        with lock:
+            return None if halted else next(pending, None)
+
+    def halt(e):
+        with lock:
+            halted.append(e)
+
+    def work():
+        buffer = np.empty((2, CHUNK_SYMBOLS))  # one per worker, reused by each of its cells
+        while (item := take()) is not None:
+            index, (scheme, i) = item
             try:
-                records.append(result())
+                outcomes[index] = _run_cell(spec, scheme, i, buffer)
             except Exception as e:  # noqa: BLE001 - cell isolation by contract
-                failures.append(CellFailure(scheme, spec.values[i], f"{type(e).__name__}: {e}"))
-    return SweepResult(records=tuple(records), failures=tuple(failures))
+                outcomes[index] = CellFailure(scheme, spec.values[i], f"{type(e).__name__}: {e}")
+
+    def helper():
+        try:
+            work()
+        except BaseException as e:  # re-raised by the calling thread after the join
+            halt(e)
+
+    helpers = [threading.Thread(target=helper, daemon=True)
+               for _ in range(_pool_size(spec, cells, workers) - 1)]
+    try:
+        for thread in helpers:
+            thread.start()
+        work()
+    except BaseException as e:
+        halt(e)
+        raise
+    for thread in helpers:
+        thread.join()
+    if halted:
+        raise halted[0]
+    failures = tuple(o for o in outcomes if isinstance(o, CellFailure))
+    return SweepResult(tuple(o for o in outcomes if not isinstance(o, CellFailure)), failures)
 
 
 CSV_COLUMNS = (

@@ -5,6 +5,7 @@ Statistical criteria use fixed seeds, so every run is deterministic.
 
 import json
 import math
+import os
 import time
 
 import numpy as np
@@ -240,8 +241,9 @@ def test_criterion_8_worker_count_determinism(capsys, tmp_path, monkeypatch):
     import noisemod.harness as hn
 
     spec = _literal_sweep_spec(SweepVariable.SAMPLES_N, (40, 55, 70, 85, 100), 100, seed=606)
-    # the sweep is small enough to run in-process; force a real 8-process pool
+    # the sweep is small enough to run in-process; force 8 real worker threads
     monkeypatch.setattr(hn, "SYMBOLS_PER_WORKER", 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     t0 = time.perf_counter()
     one = run_sweep(spec, workers=1)
     eight = run_sweep(spec, workers=8)

@@ -371,17 +371,27 @@ class TestSimulate:
         assert len(out.read_text().splitlines()) == 2
 
 
-def test_import_loads_no_process_pool():
-    # a pool is started only by a sweep big enough for one; importing the
-    # CLI must not pay for multiprocessing on every start, nor for scipy
-    # (~0.8 s to import), which the sampler's 2^-128 rule does without
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import noisemod.cli; "
-        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing', 'scipy')"
-        " if m in sys.modules))"
-    )
+def test_import_loads_no_process_pool(tmp_path):
+    # importing the CLI must not pay for multiprocessing on every start, nor
+    # for scipy (~0.8 s to import), which the sampler's 2^-128 rule does
+    # without; a sweep on worker threads loads neither of them either
+    code = """
+import os, sys, threading
+sys.path.insert(0, sys.argv[1])
+PROCESS_POOL = ('concurrent.futures', 'multiprocessing', 'scipy')
+import noisemod.cli, noisemod.harness
+on_import = sorted(m for m in PROCESS_POOL if m in sys.modules)
+noisemod.harness.SYMBOLS_PER_WORKER = 1
+os.cpu_count = lambda: 2
+started, start = [], threading.Thread.start
+threading.Thread.start = lambda thread: (started.append(thread), start(thread))
+code = noisemod.cli.main(['simulate', '--scheme', 'kljn', '--n', '40:100:60',
+                          '--min-bits', '1000', '--workers', '2', '--out', sys.argv[2]])
+print(on_import, code, len(started), sorted(m for m in PROCESS_POOL if m in sys.modules))
+"""
     done = subprocess.run(
-        [sys.executable, "-c", code, str(REPO_ROOT / "src")],
+        [sys.executable, "-c", code, str(REPO_ROOT / "src"), str(tmp_path / "run.csv")],
         capture_output=True, text=True, timeout=60, check=True,
     )
-    assert done.stdout.strip() == "[]"
+    # nothing on import; the 2-cell sweep exits 0 on one helper thread, still loading nothing
+    assert done.stdout.strip() == "[] 0 1 []"

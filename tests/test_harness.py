@@ -1,9 +1,10 @@
 """BEP engine, sweep determinism, and emission tests."""
 
-import concurrent.futures
 import itertools
 import json
 import math
+import os
+import threading
 from bisect import bisect_right
 
 import numpy as np
@@ -40,6 +41,7 @@ from noisemod.harness import (
     CSV_COLUMNS,
     LOG_NEGLIGIBLE,
     BepEstimate,
+    CellFailure,
     _detect_bits,
     _log_mean_error_bounds,
     _log_var_error_bounds,
@@ -104,6 +106,17 @@ class TestRunPoint:
         a = run_point(*args, NoiseSource(7, 9))
         b = run_point(*args, NoiseSource(7, 9))
         assert a == b
+
+    def test_buffer_reuse_does_not_change_results(self):
+        args = (Scheme.CGQNM, DEFAULT_SCHEME, ChannelConfig(2e-5), 50, 8000)
+        own = run_point(*args, NoiseSource(3, 4))
+        buffer = np.full((2, 1 << 16), np.nan)
+        assert run_point(*args, NoiseSource(3, 4), buffer=buffer) == own
+        assert run_point(*args, NoiseSource(3, 4), buffer=buffer) == own  # stale contents
+        with pytest.raises(ValueError, match="buffer"):  # 2000 symbols need 2000 columns
+            run_point(*args, NoiseSource(3, 4), buffer=np.empty((2, 1999)))
+        with pytest.raises(ValueError, match="buffer"):
+            run_point(*args, NoiseSource(3, 4), buffer=np.empty((2, 2000), np.float32))
 
     def test_chunking_does_not_change_results(self, monkeypatch):
         args = (Scheme.CGQNM, DEFAULT_SCHEME, ChannelConfig(2e-5), 50, 8000)
@@ -522,8 +535,9 @@ class TestRunSweep:
 
         spec = _tiny_spec()
         serial = run_sweep(spec, workers=1)
-        # one symbol per worker is enough, so the sweep really forks 4 processes
+        # one symbol per worker is enough, and 4 CPUs, so the sweep really runs 4 threads
         monkeypatch.setattr(hn, "SYMBOLS_PER_WORKER", 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         parallel = run_sweep(spec, workers=4)
         for a, b in zip(serial.records, parallel.records):
             assert a.estimate == b.estimate
@@ -532,10 +546,12 @@ class TestRunSweep:
     def test_small_sweep_runs_in_process(self, monkeypatch):
         serial = run_sweep(_tiny_spec(), workers=1)
 
-        def started(*args, **kwargs):
-            raise AssertionError("a pool was started")
+        class Unstartable(threading.Thread):
+            def start(self):
+                raise AssertionError("a thread was started")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", started)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(threading, "Thread", Unstartable)
         pooled = run_sweep(_tiny_spec(), workers=4)
         assert [r.estimate for r in pooled.records] == [r.estimate for r in serial.records]
         assert [r.fingerprint for r in pooled.records] == [r.fingerprint for r in serial.records]
@@ -543,30 +559,138 @@ class TestRunSweep:
     def test_pool_size_follows_symbol_count(self, monkeypatch):
         import noisemod.harness as hn
 
-        sizes = []
+        started = []
 
-        class Recorder(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers)
+        class Recorder(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(threading, "Thread", Recorder)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setattr(hn, "SYMBOLS_PER_WORKER", 1000)
-        # 2 values x (1000 + 500 + 250) symbols = 3500 symbols: 3 processes, not 8
+        # 2 values x (1000 + 500 + 250) symbols = 3500 symbols: 3 workers, not 8,
+        # the calling thread and 2 helpers
         assert len(run_sweep(_tiny_spec(), workers=8).records) == 6
-        assert sizes == [3]
+        assert len(started) == 2
+
+    def test_pool_size_capped_by_cpu_count(self, monkeypatch):
+        import noisemod.harness as hn
+
+        spec = _tiny_spec()
+        cells = [(scheme, i) for scheme in spec.schemes for i in range(len(spec.values))]
+        monkeypatch.setattr(hn, "SYMBOLS_PER_WORKER", 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert hn._pool_size(spec, cells, 10**6) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one worker
+        assert hn._pool_size(spec, cells, 10**6) == 1
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_nonpositive_workers_rejected(self, monkeypatch, workers):
         import noisemod.harness as hn
 
         def started(*args, **kwargs):
-            raise AssertionError("a cell or pool was started")
+            raise AssertionError("a cell or thread was started")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", started)
+        class Unstartable(threading.Thread):
+            start = started
+
+        monkeypatch.setattr(threading, "Thread", Unstartable)
         monkeypatch.setattr(hn, "_run_cell", started)
         with pytest.raises(ValueError, match="workers"):
             run_sweep(_tiny_spec(), workers=workers)
+
+    def test_two_workers_run_on_two_threads(self, monkeypatch, tmp_path):
+        import noisemod.harness as hn
+
+        # 2 KLJN cells of SYMBOLS_PER_WORKER symbols: two shares, so two workers
+        spec = _tiny_spec(schemes=(Scheme.KLJN,), min_bits=hn.SYMBOLS_PER_WORKER)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        serial = run_sweep(spec, workers=1)
+        threads, real = [], hn._run_cell
+        barrier = threading.Barrier(2, timeout=30)
+
+        def recorded(*args):
+            threads.append(threading.get_ident())
+            barrier.wait()  # each worker's cell waits for the other's: both run one
+            return real(*args)
+
+        monkeypatch.setattr(hn, "_run_cell", recorded)
+        threaded = run_sweep(spec, workers=2)
+        assert threaded.failures == () and len(set(threads)) == 2
+        one, two = tmp_path / "w1.csv", tmp_path / "w2.csv"
+        emit(serial.records, path=str(one))
+        emit(threaded.records, path=str(two))
+        assert one.read_bytes() == two.read_bytes()
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["in-process", "threads"])
+    def test_interrupt_in_caller_stops_the_sweep(self, monkeypatch, workers):
+        import noisemod.harness as hn
+
+        monkeypatch.setattr(hn, "SYMBOLS_PER_WORKER", 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        caller, released, begun = threading.get_ident(), threading.Event(), []
+
+        def cell(spec, scheme, index, buffer):
+            begun.append((scheme, index))
+            if threading.get_ident() == caller:
+                raise KeyboardInterrupt
+            released.wait(30)  # the helper's cell is still in flight when the caller stops
+
+        spec = _tiny_spec()
+        before = set(threading.enumerate())
+        monkeypatch.setattr(hn, "_run_cell", cell)
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(spec, workers=workers)
+        released.set()
+        for thread in set(threading.enumerate()) - before:
+            thread.join(30)
+            assert not thread.is_alive()
+        # the caller's cell and at most one helper cell in flight; no later cell started
+        grid = [(scheme, i) for scheme in spec.schemes for i in range(len(spec.values))]
+        assert 1 <= len(begun) <= workers
+        assert sorted(begun, key=grid.index) == grid[:len(begun)]
+
+    def _helper_fails_first(self, monkeypatch, failure):
+        """Stub _run_cell so that a helper thread's first cell raises `failure`
+        and every other cell, once that has happened, runs for real."""
+        import noisemod.harness as hn
+
+        monkeypatch.setattr(hn, "SYMBOLS_PER_WORKER", 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        caller, raised, failed, real = threading.get_ident(), threading.Event(), [], hn._run_cell
+
+        def cell(spec, scheme, index, buffer):
+            if threading.get_ident() != caller and not raised.is_set():
+                failed.append((scheme, index))
+                raised.set()
+                raise failure
+            raised.wait(30)  # the caller holds its first cell until a helper has failed
+            return real(spec, scheme, index, buffer)
+
+        monkeypatch.setattr(hn, "_run_cell", cell)
+        return failed
+
+    def test_helper_base_exception_is_reraised(self, monkeypatch):
+        class Crash(BaseException):
+            pass
+
+        failed = self._helper_fails_first(monkeypatch, Crash("helper died"))
+        with pytest.raises(Crash, match="helper died"):
+            run_sweep(_tiny_spec(), workers=2)
+        assert len(failed) == 1
+
+    def test_helper_exception_fails_only_its_cell(self, monkeypatch):
+        spec = _tiny_spec()
+        serial = run_sweep(spec, workers=1)
+        failed = self._helper_fails_first(monkeypatch, ValueError("boom"))
+        result = run_sweep(spec, workers=2)
+        [(scheme, index)] = failed
+        assert result.failures == (CellFailure(scheme, spec.values[index], "ValueError: boom"),)
+        others = [r for r in serial.records if (r.scheme, r.value) != (scheme, spec.values[index])]
+        assert [(r.estimate, r.fingerprint) for r in result.records] == [
+            (r.estimate, r.fingerprint) for r in others
+        ]
 
     def test_cells_are_independent_of_grid_shape(self):
         lone = run_sweep(_tiny_spec(values=(40,))).records
@@ -588,8 +712,9 @@ class TestRunSweep:
         spec = _tiny_spec(
             variable=SweepVariable.SIGMA_W, values=(-1e-5, 1e-5), schemes=(Scheme.KLJN,)
         )
-        if workers > 1:  # one symbol per worker is enough, so the sweep really forks
+        if workers > 1:  # one symbol per worker is enough, so the sweep really runs 2 threads
             monkeypatch.setattr(hn, "SYMBOLS_PER_WORKER", 1)
+            monkeypatch.setattr(os, "cpu_count", lambda: 2)
         result = run_sweep(spec, workers=workers)
         assert len(result.failures) == 1
         # the exception type, then its message
