@@ -368,8 +368,7 @@ def _fingerprint(spec: SweepSpec, scheme: Scheme, index: int, n_symbol: int,
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _run_cell(spec: SweepSpec, scheme: Scheme, index: int,
-              buffer: np.ndarray | None = None) -> RunRecord:
+def _run_cell(spec: SweepSpec, scheme: Scheme, index: int, buffer: np.ndarray) -> RunRecord:
     n_point, sigma_w = spec.point(index)
     n_symbol = spec.n_symbol(scheme, n_point)
     stream_id = stable_stream_id(scheme.value, index)
