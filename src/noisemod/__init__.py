@@ -3,9 +3,9 @@
 Three schemes share one pipeline: bits pick a Gaussian (mean, variance)
 state, a symbol is a block of samples from that state plus channel noise,
 and midpoint threshold detectors on the block's sample mean/variance
-recover the bits.  KLJN carries 1 bit on the variance, GQNM 2 bits on
-(mean, variance), and the composite scheme sums two GQNM outputs for
-4 bits over 4x4 levels.
+recover the bits (the modem module holds that whole per-symbol link).
+KLJN carries 1 bit on the variance, GQNM 2 bits on (mean, variance), and
+the composite scheme sums two GQNM outputs for 4 bits over 4x4 levels.
 """
 
 from .analysis import (
@@ -18,15 +18,6 @@ from .analysis import (
     check_variance_condition,
     chi_square_moment,
     sample_variance_spread,
-)
-from .detect import (
-    BlockEstimates,
-    ThresholdBank,
-    ThresholdMode,
-    detect_bits,
-    detect_symbol,
-    estimate,
-    threshold_bank,
 )
 from .harness import (
     BepEstimate,
@@ -42,14 +33,21 @@ from .harness import (
     wilson_interval,
 )
 from .modem import (
+    BlockEstimates,
     NoiseSource,
     Scheme,
     SchemeTable,
     SymbolBits,
+    ThresholdBank,
+    ThresholdMode,
     awgn,
+    detect_bits,
+    detect_symbol,
+    estimate,
     modulate,
     scheme_table,
     select_state,
+    threshold_bank,
 )
 from .params import (
     ChannelConfig,

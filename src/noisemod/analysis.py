@@ -59,11 +59,14 @@ def sample_variance_spread(
         raise ValueError(f"n >= 2 required, got {n}")
     if not sigma2 > 0.0:
         raise ValueError(f"sigma2 must be positive, got {sigma2!r}")
-    if formula is SpreadFormula.CHI_SQUARE:
-        return 2.0 * sigma2 * sigma2 * (n - 1) / (n * n)
-    # gamma((n-1)/2 + 4) / gamma((n-1)/2) == chi_square_moment(n-1, 4) / 16
-    m4 = chi_square_moment(float(n - 1), 4)
-    return sigma2 * m4 / float(n) ** 4 - sigma2 * sigma2
+    try:
+        if formula is SpreadFormula.CHI_SQUARE:
+            return 2.0 * sigma2 * sigma2 * (n - 1) / (n * n)
+        # gamma((n-1)/2 + 4) / gamma((n-1)/2) == chi_square_moment(n-1, 4) / 16
+        m4 = chi_square_moment(float(n - 1), 4)
+        return sigma2 * m4 / float(n) ** 4 - sigma2 * sigma2
+    except OverflowError:  # an integer N whose powers leave the float range
+        raise ValueError(f"N={n} samples per symbol is too large for float arithmetic") from None
 
 
 def _ratio(lhs: float, rhs: float) -> float:

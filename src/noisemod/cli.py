@@ -17,9 +17,8 @@ import sys
 from dataclasses import asdict
 
 from .analysis import SpreadFormula, build_report
-from .detect import ThresholdMode
 from .harness import Fairness, SweepSpec, SweepVariable, emit, run_sweep
-from .modem import Scheme, scheme_table
+from .modem import Scheme, ThresholdMode, scheme_table
 from .params import (
     ChannelConfig,
     ConfigError,

@@ -20,8 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .detect import ThresholdMode, threshold_bank
-from .modem import NoiseSource, Scheme
+from .modem import NoiseSource, Scheme, ThresholdMode, threshold_bank
 from .params import ChannelConfig, SchemeConfig, derive_subchannels
 
 # Symbols per chunk; bounds the chunk's statistic arrays (1 MB) whatever N is.

@@ -1,14 +1,16 @@
-"""Noise modulators and the additive white Gaussian channel.
+"""Noise modems: modulators, the additive white Gaussian channel, and detectors.
 
 Information bits select the mean and variance of a Gaussian state; a
-symbol is a block of independent samples drawn from that state.  Each
-scheme's states, bit layout and detector thresholds live in one table
-(scheme_table).
+symbol is a block of independent samples drawn from that state, and the
+detector maps the block's sample mean and variance back to bits.  Each
+scheme's states and midpoint thresholds live in one table (scheme_table),
+its bit layout on the Scheme, and the thresholds in use in a threshold_bank.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -83,18 +85,16 @@ class NoiseSource:
 class SchemeTable:
     """A scheme's level sets, its bit <-> level map and its detector thresholds.
 
-    Symbol bit mean_bits[k] is bit k of the mean level index and
-    var_bits[k] bit k of the variance level index (least significant
-    first); every symbol bit belongs to exactly one of the two indices.
-    means and variances are ascending, and the thresholds are the
-    midpoints between adjacent levels.
+    With (mean_bits, var_bits) = scheme.layout, symbol bit mean_bits[k] is
+    bit k of the mean level index and var_bits[k] bit k of the variance
+    level index (least significant first); every symbol bit belongs to
+    exactly one of the two indices.  means and variances are ascending,
+    and the thresholds are the midpoints between adjacent levels.
     """
 
     scheme: Scheme
     means: tuple[float, ...]
     variances: tuple[float, ...]
-    mean_bits: tuple[int, ...]
-    var_bits: tuple[int, ...]
     mean_thresholds: tuple[float, ...]
     var_thresholds: tuple[float, ...]
 
@@ -102,13 +102,13 @@ class SchemeTable:
         """(mean, variance) level indices of one symbol's bits."""
         return tuple(
             sum(bits[p] << k for k, p in enumerate(positions))
-            for positions in (self.mean_bits, self.var_bits)
+            for positions in self.scheme.layout
         )
 
     def bits_of(self, mean_index: int, var_index: int) -> tuple[int, ...]:
         """The symbol bits that select the given level indices."""
         bits = [0] * self.scheme.bits_per_symbol
-        for positions, index in ((self.mean_bits, mean_index), (self.var_bits, var_index)):
+        for positions, index in zip(self.scheme.layout, (mean_index, var_index)):
             for k, p in enumerate(positions):
                 bits[p] = index >> k & 1
         return tuple(bits)
@@ -155,9 +155,7 @@ def scheme_table(
                 raise DegenerateLevelsError(f"coincident composite {label} levels at {a!r}")
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise DegenerateLevelsError(f"composite {label}s out of level order: {levels!r}")
-    return SchemeTable(
-        scheme, means, variances, mean_bits, var_bits, _midpoints(means), _midpoints(variances)
-    )
+    return SchemeTable(scheme, means, variances, _midpoints(means), _midpoints(variances))
 
 
 def select_state(
@@ -191,3 +189,74 @@ def awgn(samples: np.ndarray, sigma_w: float, rng: NoiseSource) -> np.ndarray:
     if sigma_w == 0.0:
         return samples
     return samples + sigma_w * rng.generator.standard_normal(samples.size)
+
+
+class ThresholdMode(Enum):
+    """Whether variance thresholds compensate for the channel noise floor."""
+
+    MIDPOINT = "paper"
+    NOISE_ADJUSTED = "noise-adjusted"
+
+
+@dataclass(frozen=True)
+class ThresholdBank:
+    """The detector thresholds in use for one scheme at one channel noise level.
+
+    Build it with threshold_bank, the one place the noise adjustment is made.
+    """
+
+    table: SchemeTable
+    mean_thresholds: tuple[float, ...]
+    effective_var_thresholds: tuple[float, ...]
+
+
+def threshold_bank(
+    scheme: Scheme,
+    sub0: SubchannelParams,
+    sub1: SubchannelParams | None = None,
+    *,
+    mode: ThresholdMode = ThresholdMode.NOISE_ADJUSTED,
+    sigma_w: float = 0.0,
+) -> ThresholdBank:
+    """Build the detector thresholds for a scheme from subchannel parameters.
+
+    The thresholds are the scheme table's midpoints.  In noise-adjusted mode
+    the variance thresholds are shifted up by sigma_w^2 (the mean is
+    unaffected by zero-mean channel noise).
+    """
+    table = scheme_table(scheme, sub0, sub1)
+    var_thresholds, shift = table.var_thresholds, sigma_w * sigma_w
+    if mode is ThresholdMode.NOISE_ADJUSTED and shift > 0.0:
+        var_thresholds = tuple(t + shift for t in var_thresholds)
+    return ThresholdBank(table, table.mean_thresholds, var_thresholds)
+
+
+@dataclass(frozen=True)
+class BlockEstimates:
+    mean_hat: float
+    var_hat: float
+
+
+def estimate(samples) -> BlockEstimates:
+    """Sample mean and 1/N-divisor sample variance of a block of samples."""
+    x = np.asarray(samples, dtype=np.float64)
+    if x.size < 2:
+        raise ValueError("a sample block needs at least 2 samples")
+    return BlockEstimates(float(x.mean()), float(x.var()))
+
+
+def detect_bits(mean_hat: float, var_hat: float, bank: ThresholdBank) -> tuple[int, ...]:
+    """The symbol bits of the regions a sample mean and variance fall in.
+
+    A value equal to a threshold resolves to the upper region.
+    """
+    return bank.table.bits_of(
+        bisect_right(bank.mean_thresholds, mean_hat),
+        bisect_right(bank.effective_var_thresholds, var_hat),
+    )
+
+
+def detect_symbol(samples, bank: ThresholdBank) -> SymbolBits:
+    """Detect one symbol's bits, in the layout of the bank's scheme, from its samples."""
+    est = estimate(samples)
+    return SymbolBits(bank.table.scheme, detect_bits(est.mean_hat, est.var_hat, bank))

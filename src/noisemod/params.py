@@ -161,35 +161,38 @@ def load_config(path) -> tuple[SchemeConfig, ChannelConfig, int]:
     either carries the six scale factors or an `explicit` block with every
     subchannel, and both load to the same config; `sigma_w` and
     `samples_per_symbol` are optional and fall back to the defaults above.
+    Every error is a ConfigError whose message starts with the path.
     """
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}: not valid JSON ({e})") from e
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys: {', '.join(sorted(unknown))}")
-    if "explicit" in raw:
-        present = [k for k in _SCALAR_KEYS if k in raw]
-        if present:
-            raise ConfigError(
-                f"{path}: explicit block conflicts with scalar keys: {', '.join(present)}"
-            )
-        block, names = raw["explicit"], [f.name for f in fields(SchemeConfig)]
-        if not isinstance(block, dict) or set(block) != set(names):
-            raise ConfigError(f"{path}: explicit must contain exactly {' and '.join(names)}")
-        scheme = SchemeConfig(*(_parse_sub(block[name], name) for name in names))
-    else:
-        missing = [k for k in _SCALAR_KEYS if k not in raw]
-        if missing:
-            raise ConfigError(f"{path}: missing keys: {', '.join(missing)}")
-        scheme = SchemeConfig.derived(*(_number(raw[k], f"{path}: {k}") for k in _SCALAR_KEYS))
-    sigma_w = raw.get("sigma_w", DEFAULT_CHANNEL.sigma_w)
-    channel = ChannelConfig(_number(sigma_w, f"{path}: sigma_w"))
-    n = raw.get("samples_per_symbol", DEFAULT_SAMPLES_PER_SYMBOL)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise ConfigError(f"{path}: samples_per_symbol must be an integer >= 2, got {n!r}")
-    return scheme, channel, n
+        if not isinstance(raw, dict):
+            raise ConfigError("top level must be an object")
+        unknown = set(raw) - _TOP_KEYS
+        if unknown:
+            raise ConfigError(f"unknown keys: {', '.join(sorted(unknown))}")
+        if "explicit" in raw:
+            present = [k for k in _SCALAR_KEYS if k in raw]
+            if present:
+                raise ConfigError(
+                    f"explicit block conflicts with scalar keys: {', '.join(present)}"
+                )
+            block, names = raw["explicit"], [f.name for f in fields(SchemeConfig)]
+            if not isinstance(block, dict) or set(block) != set(names):
+                raise ConfigError(f"explicit must contain exactly {' and '.join(names)}")
+            scheme = SchemeConfig(*(_parse_sub(block[name], name) for name in names))
+        else:
+            missing = [k for k in _SCALAR_KEYS if k not in raw]
+            if missing:
+                raise ConfigError(f"missing keys: {', '.join(missing)}")
+            scheme = SchemeConfig.derived(*(_number(raw[k], k) for k in _SCALAR_KEYS))
+        sigma_w = raw.get("sigma_w", DEFAULT_CHANNEL.sigma_w)
+        channel = ChannelConfig(_number(sigma_w, "sigma_w"))
+        n = raw.get("samples_per_symbol", DEFAULT_SAMPLES_PER_SYMBOL)
+        if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+            raise ConfigError(f"samples_per_symbol must be an integer >= 2, got {n!r}")
+        return scheme, channel, n
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise ConfigError(f"{path}: not valid JSON ({e})") from e
+    except ConfigError as e:  # every message names the file once
+        raise ConfigError(f"{path}: {e}") from None

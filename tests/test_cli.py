@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -20,6 +21,13 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 CANONICAL_CFG = str(REPO_ROOT / "configs" / "canonical.json")
 LITERAL_CFG = str(REPO_ROOT / "configs" / "paper_literal.json")
+
+# One explicit subchannel block; the last config-error cases vary it.
+SUB = {"m_L": 1, "m_H": 2, "var_0": 1, "var_1": 2}
+
+# 1 followed by 400 zeros: an int that N^2, and N itself, cannot fit in a float.
+HUGE_N = "1" + "0" * 400
+HUGE_N_ERROR = f"error: N={HUGE_N} samples per symbol is too large for float arithmetic\n"
 
 # Variance sums (11, 40, 21, 50)e-10 in level order: not ascending.
 OUT_OF_ORDER_VARIANCES = {
@@ -44,6 +52,14 @@ def test_out_of_order_variances_exit_one(tmp_path, capsys, argv):
 
 
 class TestDerive:
+    def test_module_entry_point_matches_main(self, capsys):
+        # `python -m noisemod.cli` goes through the __main__ guard and run()
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        done = subprocess.run([sys.executable, "-m", "noisemod.cli", "derive", "--json"],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert main(["derive", "--json"]) == 0
+        assert (done.returncode, done.stdout) == (0, capsys.readouterr().out)
+
     def test_json_output_default_config(self, capsys):
         assert main(["derive", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -120,6 +136,10 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "mean condition" in out
         assert "NOT satisfied" in out
+        assert "warning:" not in out
+        assert main(["check", "--n", "3", "--variance-formula", "paper"]) == 0
+        out = capsys.readouterr().out
+        assert "\nwarning: fourth-moment spread formula mixes units" in out
 
     @pytest.mark.parametrize("formula, variances, key", [
         # the fourth-moment spread is negative at every level: NaN spreads and ratios
@@ -152,11 +172,41 @@ class TestCheck:
         assert captured.out == ""
         assert "margin factor must be finite and > 0" in captured.err
 
-    def test_unknown_config_key_exits_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("content, message", [
+        (json.dumps({"m_L0": 1e-3, "alhpa": 2}), "alhpa"),
+        (json.dumps({"explicit": {"sub0": 1, "sub1": SUB}}), "explicit.sub0 must be an object"),
+        (json.dumps({"explicit": {"sub0": {**SUB, "x": 1}, "sub1": SUB}}),
+         "unknown keys in explicit.sub0: x"),
+        (json.dumps({"explicit": {"sub0": SUB, "sub1": {"m_L": 3, "m_H": 4}}}),
+         "explicit.sub1 missing keys: var_0, var_1"),
+        ('{"m_L0": 1e-3,', "not valid JSON"),
+        (b"\xff{}", "not valid JSON"),
+        ("[1, 2]", "top level must be an object"),
+        (json.dumps({"explicit": {"sub0": SUB, "sub2": SUB}}),
+         "explicit must contain exactly sub0 and sub1"),
+    ], ids=["unknown-key", "sub-not-object", "sub-unknown-key", "sub-missing-key",
+            "invalid-json", "not-utf8", "top-not-object", "explicit-names"])
+    def test_unknown_config_key_exits_one(self, tmp_path, capsys, content, message):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"m_L0": 1e-3, "alhpa": 2}))
+        (path.write_bytes if isinstance(content, bytes) else path.write_text)(content)
         assert main(["check", "--config", str(path)]) == 1
-        assert "alhpa" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {path}: "), err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--n", HUGE_N],
+        ["check", "--config", "huge.json"],
+        ["simulate", "--scheme", "kljn", "--config", "huge.json"],
+    ], ids=["check-n", "check-config", "simulate-config"])
+    def test_n_beyond_float_range_exits_one(self, tmp_path, monkeypatch, capsys, argv):
+        config = {**json.loads(Path(CANONICAL_CFG).read_text()), "samples_per_symbol": int(HUGE_N)}
+        (tmp_path / "huge.json").write_text(json.dumps(config))
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == HUGE_N_ERROR
 
 
 class TestSimulate:
@@ -285,6 +335,7 @@ class TestSimulate:
             ("--sigma-w", "0:1:1e-300", "1e+300 values, at most 10000 allowed"),
             ("--n", "2:10000000000:1", "1e+10 values, at most 10000 allowed"),
             ("--n", "1:10001:1", "10001 values"),
+            ("--n", HUGE_N, HUGE_N_ERROR),
         ]:
             assert main(["simulate", flag, text]) == 1, text
             err = capsys.readouterr().err

@@ -101,6 +101,12 @@ class TestRunPoint:
         with pytest.raises(DegenerateLevelsError):
             run_point(Scheme.CGQNM, cfg, ChannelConfig(0.0), 100, 1000, NoiseSource(1))
 
+    def test_bad_bit_or_sample_count_rejected(self):
+        with pytest.raises(ValueError, match="min_bits must be >= 1"):
+            run_point(Scheme.GQNM, DEFAULT_SCHEME, ChannelConfig(0.0), 100, 0, NoiseSource(1))
+        with pytest.raises(ValueError, match="n >= 2 required"):
+            run_point(Scheme.GQNM, DEFAULT_SCHEME, ChannelConfig(0.0), 1, 1000, NoiseSource(1))
+
     def test_same_key_same_estimate(self):
         args = (Scheme.GQNM, DEFAULT_SCHEME, ChannelConfig(2e-5), 100, 5000)
         a = run_point(*args, NoiseSource(7, 9))
@@ -739,6 +745,10 @@ class TestRunSweep:
             _tiny_spec(values=())
         with pytest.raises(ValueError, match="seed >= 0 required"):
             _tiny_spec(seed=-1)
+        with pytest.raises(ValueError, match="at least one scheme"):
+            _tiny_spec(schemes=())
+        with pytest.raises(ValueError, match="n >= 2 required"):
+            _tiny_spec(n=1)
 
 
 class TestEmit:

@@ -80,7 +80,7 @@ class TestSchemeTable:
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_bit_positions_are_a_permutation(self, canonical_subs, scheme):
         table = scheme_table(scheme, *canonical_subs)
-        assert sorted(table.mean_bits + table.var_bits) == list(range(scheme.bits_per_symbol))
+        assert sorted(sum(table.scheme.layout, ())) == list(range(scheme.bits_per_symbol))
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_indices_and_bits_invert_each_other(self, canonical_subs, scheme):
@@ -96,7 +96,7 @@ class TestSchemeTable:
         for scheme in Scheme:
             assert Scheme(scheme.value) is scheme
             table = scheme_table(scheme, *canonical_subs)
-            assert (table.mean_bits, table.var_bits) == scheme.layout
+            assert table.scheme is scheme
 
     def test_missing_subchannel_names_the_scheme(self, canonical_subs):
         with pytest.raises(ValueError, match="cgqnm needs 2 subchannels"):
@@ -148,6 +148,8 @@ class TestModulate:
     def test_short_block_rejected(self):
         with pytest.raises(ValueError):
             modulate((0.0, 1.0), 1, NoiseSource(1))
+        with pytest.raises(ValueError, match="variance must be >= 0"):
+            modulate((0.0, -1.0), 4, NoiseSource(1))
 
     def test_normality_sanity(self):
         x = modulate((0.0, 1.0), 1_000_000, NoiseSource(11))
