@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import asdict
 
-from .analysis import SpreadFormula, build_report
+from .analysis import SpreadFormula, build_report, sample_variance_spread
 from .harness import Fairness, SweepSpec, SweepVariable, emit, run_sweep
 from .modem import Scheme, ThresholdMode, scheme_table
 from .params import (
@@ -63,7 +63,10 @@ def _parse_range(text: str, kind: type) -> list:
         raise ConfigError(
             f"bad range {text!r}: {span + 1:.6g} values, at most {MAX_RANGE_VALUES} allowed"
         )
-    return [a + i * step for i in range(int(span) + 1)]
+    values = [a + i * step for i in range(int(span) + 1)]
+    if kind is float and (b - a) / step - int(span) <= 1e-9:
+        values[-1] = b  # the steps reach B within the count's tolerance: end on B itself
+    return values
 
 
 def _load(args):
@@ -135,9 +138,12 @@ def _check_writable(path: str) -> None:
 def _preflight_note(spec: SweepSpec) -> None:
     """Warn (stderr) for each simulated scheme whose margins, with the exact
     chi-square spread, are unsatisfied at the samples per symbol of its
-    smallest swept block and the sweep's largest channel noise."""
+    smallest swept block and the sweep's largest channel noise.  Raise
+    ValueError first if the largest swept block leaves float range."""
     n_worst, _ = spec.point(0)
-    _, sigma_w = spec.point(len(spec.values) - 1)
+    n_largest, sigma_w = spec.point(len(spec.values) - 1)
+    for scheme in spec.schemes:
+        sample_variance_spread(1.0, spec.n_symbol(scheme, n_largest))  # raises beyond float range
     subs = derive_subchannels(spec.scheme_config)
     for scheme in spec.schemes:
         n_symbol = spec.n_symbol(scheme, n_worst)

@@ -117,18 +117,17 @@ def _detect_bits(counts, mean_dev, var_hat, mean_th, var_th):
     return errors
 
 
-def compute_moments(gen, counts, n, sigma_w, sigmas, out):
+def compute_moments(gen, counts, n, sigma_w, variances, out):
     """Block mean deviation and 1/N sample variance for one chunk of symbols.
 
-    For n Gaussian samples of variance s2 = sigma^2 + sigma_w^2 the block
-    mean deviation is Normal(0, s2/n) and n * var_hat / s2 is independently
+    For n Gaussian samples of variance s2 = v + sigma_w^2 the block mean
+    deviation is Normal(0, s2/n) and n * var_hat / s2 is independently
     chi-square(n - 1): Z^2 for a standard normal Z at n = 2, and
     2 * Gamma((n - 1)/2) otherwise.  The normals, then the chi-square draws,
-    give exactly that joint law.  The chunk holds counts[k] symbols of sigma
-    sigmas[k] in turn; the draws are made and scaled in place in
-    out = (mean_dev, var_hat), and no normals for None.
+    give exactly that joint law.  The chunk holds counts[k] symbols of
+    variance level variances[k] in turn; the draws are made and scaled in
+    place in out = (mean_dev, var_hat), and no normals for None.
     """
-    scale = (sigmas * sigmas + sigma_w * sigma_w) / n
     mean_dev, var_hat = out
     if mean_dev is not None:
         gen.standard_normal(out=mean_dev)
@@ -139,7 +138,8 @@ def compute_moments(gen, counts, n, sigma_w, sigmas, out):
         gen.standard_gamma((n - 1) / 2.0, out=var_hat)
         chi_scale = 2.0
     bounds = np.cumsum(counts).tolist()
-    for start, stop, s2n in zip([0, *bounds], bounds, scale.tolist()):
+    for start, stop, v in zip([0, *bounds], bounds, variances):
+        s2n = (v + sigma_w * sigma_w) / n
         if mean_dev is not None:
             mean_dev[start:stop] *= math.sqrt(s2n)
         var_hat[start:stop] *= chi_scale * s2n
@@ -250,7 +250,6 @@ def run_point(
     bits_counted = total_symbols * bps
     if not draw_means and max(_log_var_error_bounds(var_th, s2n, n)) < LOG_NEGLIGIBLE:
         return BepEstimate(0, bits_counted, 0.0, *wilson_interval(0, bits_counted))
-    sigmas = np.sqrt(np.asarray(table.variances))
     chunk = min(CHUNK_SYMBOLS, total_symbols)
     if buffer is None:
         buffer = np.empty((2, chunk))
@@ -264,7 +263,8 @@ def run_point(
         n_sym = min(CHUNK_SYMBOLS, total_symbols - done)
         counts = _symbol_states(gen, n_sym, table)
         out = (buffer[0, :n_sym] if draw_means else None, buffer[1, :n_sym])
-        mean_dev, var_hat = compute_moments(gen, counts.sum(axis=1), n, sigma_w, sigmas, out)
+        mean_dev, var_hat = compute_moments(
+            gen, counts.sum(axis=1), n, sigma_w, table.variances, out)
         errors += _detect_bits(counts, mean_dev, var_hat, mean_th, var_th)
         done += n_sym
     low, high = wilson_interval(errors, bits_counted)

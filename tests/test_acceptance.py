@@ -99,11 +99,11 @@ def test_criterion_3_estimator_statistics(capsys):
     m_f, var_f = 6e-3, 2.1e-9
     n, reps, chunk = 100, 1_000_000, 50_000
     gen = NoiseSource(303).generator
-    counts, sig = np.array([chunk]), np.array([math.sqrt(var_f)])
+    counts = np.array([chunk])
     mean_hats, var_hats = [], []
     t0 = time.perf_counter()
     for _ in range(reps // chunk):
-        mu_dev, var_hat = compute_moments(gen, counts, n, 0.0, sig, np.empty((2, chunk)))
+        mu_dev, var_hat = compute_moments(gen, counts, n, 0.0, [var_f], np.empty((2, chunk)))
         mean_hats.append(m_f + mu_dev)
         var_hats.append(var_hat)
     mean_hats = np.concatenate(mean_hats)
@@ -137,10 +137,10 @@ def test_criterion_4_chi_square_and_spread(capsys):
     del draws
 
     sigma2, n, reps, chunk = 2.1e-9, 100, 1_000_000, 50_000
-    counts, sig = np.array([chunk]), np.array([math.sqrt(sigma2)])
+    counts = np.array([chunk])
     var_hats = []
     for _ in range(reps // chunk):
-        var_hats.append(compute_moments(gen, counts, n, 0.0, sig, np.empty((2, chunk)))[1])
+        var_hats.append(compute_moments(gen, counts, n, 0.0, [sigma2], np.empty((2, chunk)))[1])
     mc_spread = float(np.var(np.concatenate(var_hats)))
     predicted = sample_variance_spread(sigma2, n)
     assert mc_spread == pytest.approx(predicted, rel=3e-2)

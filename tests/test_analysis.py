@@ -96,9 +96,9 @@ class TestSampleVarianceSpread:
         reps = 1_000_000
         chunk = 100_000
         var_hats = []
-        counts, sig = np.array([chunk]), np.array([math.sqrt(sigma2)])
+        counts = np.array([chunk])
         for _ in range(reps // chunk):
-            _, var_hat = compute_moments(gen, counts, n, 0.0, sig, np.empty((2, chunk)))
+            _, var_hat = compute_moments(gen, counts, n, 0.0, [sigma2], np.empty((2, chunk)))
             var_hats.append(var_hat)
         mc = float(np.var(np.concatenate(var_hats)))
         assert mc == pytest.approx(sample_variance_spread(sigma2, n), rel=3e-2)

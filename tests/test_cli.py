@@ -242,6 +242,7 @@ class TestSimulate:
         data = json.loads(out.read_text())
         assert [d["variable"] for d in data] == ["sigma_w"] * 3
         assert [d["N"] for d in data] == [50, 50, 50]
+        assert [d["value"] for d in data] == [1e-5, 2e-5, 3e-5]
 
     def test_all_schemes_stdout(self, capsys):
         assert main(["simulate", "--n", "40", "--min-bits", "1000", "--seed", "5"]) == 0
@@ -336,6 +337,8 @@ class TestSimulate:
             ("--n", "2:10000000000:1", "1e+10 values, at most 10000 allowed"),
             ("--n", "1:10001:1", "10001 values"),
             ("--n", HUGE_N, HUGE_N_ERROR),
+            ("--n", f"2:{HUGE_N}:5{'0' * 399}",
+             f"error: N=5{'0' * 398}2 samples per symbol is too large for float arithmetic\n"),
         ]:
             assert main(["simulate", flag, text]) == 1, text
             err = capsys.readouterr().err
@@ -365,6 +368,9 @@ class TestSimulate:
 
         assert len(_parse_range(f"1:{MAX_RANGE_VALUES}:1", int)) == MAX_RANGE_VALUES
         assert len(_parse_range("0:0.9999:1e-4", float)) == MAX_RANGE_VALUES
+        # the last value is B itself, not the sum of the steps an ulp past it
+        assert _parse_range("0.1:0.7:0.1", float)[-1] == 0.7
+        assert _parse_range("1e-5:3e-5:1e-5", float) == [1e-5, 2e-5, 3e-5]
 
     def test_negative_seed_exits_one(self, monkeypatch, capsys):
         import noisemod.cli as cli

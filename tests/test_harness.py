@@ -6,6 +6,7 @@ import math
 import os
 import threading
 from bisect import bisect_right
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from noisemod import (
     detect_symbol,
     emit,
     estimate,
+    load_config,
     modulate,
     run_point,
     run_sweep,
@@ -50,6 +52,8 @@ from noisemod.harness import (
 )
 
 from test_analysis import explicit_configs
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
 # Mean levels 0, 5e-5, 2e-4 and 2.5e-4 with the canonical variances: at 8
 # samples per symbol and sigma_w = 2e-5 a GQNM mean sits ~2.4 block spreads
@@ -194,20 +198,47 @@ class TestRunPoint:
     @pytest.mark.parametrize("n", [2, 7])
     def test_moments_match_per_symbol_formula(self, n, sigma_w):
         # one level per symbol: the level tables must give the very bits of
-        # the formula applied to each symbol's own sigma
+        # the formula applied to each symbol's own variance
         k = 1000
-        sigmas = np.sqrt(np.linspace(1e-10, 1e-8, k))
+        variances = np.linspace(1e-10, 1e-8, k)
         gen = NoiseSource(31, n).generator
-        scale = (sigmas * sigmas + sigma_w * sigma_w) / n
+        scale = (variances + sigma_w * sigma_w) / n
         want_dev = np.sqrt(scale) * gen.standard_normal(k)
         if n == 2:  # chi-square(1) is a squared standard normal
             want_var = scale * gen.standard_normal(k) ** 2
         else:
             want_var = 2.0 * scale * gen.standard_gamma((n - 1) / 2.0, k)
         dev, var_hat = compute_moments(
-            NoiseSource(31, n).generator, np.ones(k, np.intp), n, sigma_w, sigmas, np.empty((2, k))
+            NoiseSource(31, n).generator, np.ones(k, np.intp), n, sigma_w, variances,
+            np.empty((2, k)),
         )
         assert np.array_equal(dev, want_dev) and np.array_equal(var_hat, want_var)
+
+    @pytest.mark.parametrize("config_path", CONFIGS, ids=lambda p: p.stem)
+    @pytest.mark.parametrize("sigma_w", [0.0, 2e-5])
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_moments_draw_the_rules_law(self, config_path, n, sigma_w):
+        # with every variate 1.0 the kernel returns its scales: each level's
+        # must be the very s2n = (v + sigma_w^2) / n that run_point's 2^-128
+        # rule bounds and the benchmark oracle checks
+        class Ones:
+            def standard_normal(self, out):
+                out.fill(1.0)
+                return out
+
+            def standard_gamma(self, shape, out):
+                out.fill(1.0)
+                return out
+
+        subs = derive_subchannels(load_config(config_path)[0])
+        for scheme in Scheme:
+            variances = threshold_bank(scheme, *subs).table.variances
+            k = len(variances)
+            dev, var_hat = compute_moments(Ones(), np.ones(k, np.intp), n, sigma_w, variances,
+                                           np.empty((2, k)))
+            s2n = [(v + sigma_w * sigma_w) / n for v in variances]
+            assert var_hat.tolist() == [s * (1.0 if n == 2 else 2.0) for s in s2n]
+            assert dev.tolist() == [math.sqrt(s) for s in s2n]
 
     def test_matches_blockwise_reference_path(self):
         # replay one chunk's stream (state counts, normals where a mean can
@@ -226,7 +257,7 @@ class TestRunPoint:
             out = (np.empty(n_sym) if drawn else None, np.empty(n_sym))
             mean_dev, var_hat = compute_moments(
                 gen, counts.reshape(n_var, n_mean).sum(axis=1), n, sigma_w,
-                np.sqrt(table.variances), out,
+                table.variances, out,
             )
             manual_errors = 0
             for k, (i, j) in enumerate(states):
@@ -405,8 +436,8 @@ class TestSamplerAgreement:
         ref = [estimate(awgn(modulate((mean, var), n, rng), sigma_w, rng))
                for _ in range(k)]
         dev, var_hat = compute_moments(
-            NoiseSource(809, n).generator, np.array([k]), n, sigma_w,
-            np.array([math.sqrt(var)]), np.empty((2, k)),
+            NoiseSource(809, n).generator, np.array([k]), n, sigma_w, [var],
+            np.empty((2, k)),
         )
         s2 = var + sigma_w**2
         # (per-sample draws, sampler draws, law variance, law excess kurtosis):
