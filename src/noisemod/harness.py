@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .modem import NoiseSource, Scheme, ThresholdMode, threshold_bank
+from .modem import NoiseSource, Scheme, ThresholdBank, ThresholdMode, threshold_bank
 from .params import ChannelConfig, SchemeConfig, derive_subchannels
 
 # Symbols per chunk; bounds the chunk's statistic arrays (1 MB) whatever N is.
@@ -205,20 +205,19 @@ def _log_var_error_bounds(var_th, s2n, n):
 
 
 def run_point(
-    scheme: Scheme,
-    config: SchemeConfig,
-    channel: ChannelConfig,
+    bank: ThresholdBank,
     n: int,
     min_bits: int,
     rng: NoiseSource,
     *,
-    threshold_mode: ThresholdMode = ThresholdMode.NOISE_ADJUSTED,
     buffer: np.ndarray | None = None,
 ) -> BepEstimate:
-    """Estimate the BEP of one scheme at one operating point.
+    """Estimate the BEP of the receiver `bank` at n samples per symbol.
 
-    Uniform random bits select symbol states, each symbol's block of n
-    Gaussian samples plus channel noise is reduced to its sufficient
+    The bank carries the scheme table, the thresholds in use and the
+    channel noise sigma_w they were set for (see threshold_bank).  Uniform
+    random bits select symbol states, each symbol's block of n Gaussian
+    samples plus that channel noise is reduced to its sufficient
     statistics (see compute_moments) and detected, and errors accumulate
     over all bit positions until at least min_bits bits are counted.  The
     symbols of a chunk are exchangeable, so each chunk of CHUNK_SYMBOLS is
@@ -238,14 +237,12 @@ def run_point(
         raise ValueError("min_bits must be >= 1")
     if n < 2:
         raise ValueError("n >= 2 required")
-    bank = threshold_bank(scheme, *derive_subchannels(config), mode=threshold_mode,
-                          sigma_w=channel.sigma_w)
-    table = bank.table
+    table, sigma_w = bank.table, bank.sigma_w
     mean_th = [tuple(t - m for t in bank.mean_thresholds) for m in table.means]
     var_th = bank.effective_var_thresholds
-    s2n = [(v + channel.sigma_w * channel.sigma_w) / n for v in table.variances]
+    s2n = [(v + sigma_w * sigma_w) / n for v in table.variances]
     draw_means = max(map(max, _log_mean_error_bounds(mean_th, s2n))) >= LOG_NEGLIGIBLE
-    bps = scheme.bits_per_symbol
+    bps = table.scheme.bits_per_symbol
     total_symbols = -(-min_bits // bps)
     bits_counted = total_symbols * bps
     if not draw_means and max(_log_var_error_bounds(var_th, s2n, n)) < LOG_NEGLIGIBLE:
@@ -257,7 +254,7 @@ def run_point(
           or buffer.shape[1] < chunk):
         raise ValueError(f"buffer must be float64 of shape (2, >= {chunk}), "
                          f"got {buffer.dtype} {buffer.shape}")
-    gen, sigma_w = rng.generator, channel.sigma_w
+    gen = rng.generator
     errors = done = 0
     while done < total_symbols:
         n_sym = min(CHUNK_SYMBOLS, total_symbols - done)
@@ -373,10 +370,9 @@ def _run_cell(spec: SweepSpec, scheme: Scheme, index: int, buffer: np.ndarray) -
     stream_id = stable_stream_id(scheme.value, index)
     rng = NoiseSource(spec.seed, stream_id)
     t0 = time.perf_counter()
-    est = run_point(
-        scheme, spec.scheme_config, ChannelConfig(sigma_w), n_symbol, spec.min_bits, rng,
-        threshold_mode=spec.threshold_mode, buffer=buffer,
-    )
+    bank = threshold_bank(scheme, *derive_subchannels(spec.scheme_config),
+                          mode=spec.threshold_mode, sigma_w=sigma_w)
+    est = run_point(bank, n_symbol, spec.min_bits, rng, buffer=buffer)
     wall = time.perf_counter() - t0
     return RunRecord(
         scheme=scheme,
@@ -393,10 +389,11 @@ def _run_cell(spec: SweepSpec, scheme: Scheme, index: int, buffer: np.ndarray) -
 
 def _pool_size(spec: SweepSpec, cells, workers: int) -> int:
     """Threads for a sweep, the calling one included: at most `workers` and
-    the CPU count, one per cell, and one per SYMBOLS_PER_WORKER symbols (a
-    cell's cost is its symbol count)."""
+    the CPUs this process may run on, one per cell, and one per
+    SYMBOLS_PER_WORKER symbols (a cell's cost is its symbol count)."""
     symbols = sum(-(-spec.min_bits // scheme.bits_per_symbol) for scheme, _ in cells)
-    return max(1, min(workers, os.cpu_count() or 1, len(cells), symbols // SYMBOLS_PER_WORKER))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(workers, cpus or 1, len(cells), symbols // SYMBOLS_PER_WORKER))
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .params import DegenerateLevelsError, SubchannelParams
+from .params import ChannelConfig, DegenerateLevelsError, SubchannelParams
 
 
 class Scheme(Enum):
@@ -200,7 +200,9 @@ class ThresholdMode(Enum):
 
 @dataclass(frozen=True)
 class ThresholdBank:
-    """The detector thresholds in use for one scheme at one channel noise level.
+    """The detector thresholds in use for one scheme at one channel noise level,
+    and that level: sigma_w (V), the noise the thresholds were set for and
+    the noise harness.run_point adds to every sample.
 
     Build it with threshold_bank, the one place the noise adjustment is made.
     """
@@ -208,6 +210,10 @@ class ThresholdBank:
     table: SchemeTable
     mean_thresholds: tuple[float, ...]
     effective_var_thresholds: tuple[float, ...]
+    sigma_w: float
+
+    def __post_init__(self):
+        ChannelConfig(self.sigma_w)  # ConfigError unless a valid channel noise level
 
 
 def threshold_bank(
@@ -222,13 +228,14 @@ def threshold_bank(
 
     The thresholds are the scheme table's midpoints.  In noise-adjusted mode
     the variance thresholds are shifted up by sigma_w^2 (the mean is
-    unaffected by zero-mean channel noise).
+    unaffected by zero-mean channel noise).  The bank carries sigma_w,
+    which must pass ChannelConfig's checks (ConfigError otherwise).
     """
     table = scheme_table(scheme, sub0, sub1)
     var_thresholds, shift = table.var_thresholds, sigma_w * sigma_w
     if mode is ThresholdMode.NOISE_ADJUSTED and shift > 0.0:
         var_thresholds = tuple(t + shift for t in var_thresholds)
-    return ThresholdBank(table, table.mean_thresholds, var_thresholds)
+    return ThresholdBank(table, table.mean_thresholds, var_thresholds, sigma_w)
 
 
 @dataclass(frozen=True)

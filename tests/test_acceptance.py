@@ -244,6 +244,7 @@ def test_criterion_8_worker_count_determinism(capsys, tmp_path, monkeypatch):
     # the sweep is small enough to run in-process; force 8 real worker threads
     monkeypatch.setattr(hn, "SYMBOLS_PER_WORKER", 1)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     t0 = time.perf_counter()
     one = run_sweep(spec, workers=1)
     eight = run_sweep(spec, workers=8)

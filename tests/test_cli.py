@@ -440,6 +440,7 @@ import noisemod.cli, noisemod.harness
 on_import = sorted(m for m in PROCESS_POOL if m in sys.modules)
 noisemod.harness.SYMBOLS_PER_WORKER = 1
 os.cpu_count = lambda: 2
+os.sched_getaffinity = lambda pid: {0, 1}
 started, start = [], threading.Thread.start
 threading.Thread.start = lambda thread: (started.append(thread), start(thread))
 code = noisemod.cli.main(['simulate', '--scheme', 'kljn', '--n', '40:100:60',

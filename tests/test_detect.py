@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from noisemod import (
+    ConfigError,
     DegenerateLevelsError,
     NoiseSource,
     Scheme,
     SymbolBits,
+    ThresholdBank,
     ThresholdMode,
     detect_bits,
     detect_symbol,
@@ -107,6 +109,26 @@ class TestVarBits:
         # between the base threshold (2.3e-9) and the shifted one (2.7e-9)
         assert detect_var_bits(2.4e-9, plain) == (1, 0)
         assert detect_var_bits(2.4e-9, shifted) == (0, 0)
+
+
+class TestBankNoise:
+    @pytest.mark.parametrize("sigma_w", [-2e-5, float("nan"), float("inf"), 1e200])
+    def test_bad_sigma_w_rejected(self, canonical_subs, sigma_w):
+        # the bank is the BEP engine's only noise input, so it checks sigma_w
+        # as ChannelConfig does: finite, >= 0 and of finite square
+        with pytest.raises(ConfigError, match="sigma_w"):
+            threshold_bank(Scheme.KLJN, canonical_subs[0], sigma_w=sigma_w)
+        bank = threshold_bank(Scheme.KLJN, canonical_subs[0])
+        with pytest.raises(ConfigError, match="sigma_w"):  # a bank built by hand too
+            ThresholdBank(bank.table, bank.mean_thresholds, bank.effective_var_thresholds,
+                          sigma_w)
+
+    @pytest.mark.parametrize("sigma_w, thresholds", [(0.0, (3e-10,)),
+                                                     (2e-5, (7.000000000000001e-10,))])
+    def test_valid_sigma_w_kept(self, canonical_subs, sigma_w, thresholds):
+        bank = threshold_bank(Scheme.KLJN, canonical_subs[0], sigma_w=sigma_w)
+        assert bank.effective_var_thresholds == thresholds
+        assert bank.sigma_w == sigma_w
 
 
 class TestDetectSymbol:

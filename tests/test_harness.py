@@ -36,6 +36,7 @@ from noisemod import (
     run_point,
     run_sweep,
     select_state,
+    stable_stream_id,
     threshold_bank,
     wilson_interval,
 )
@@ -53,7 +54,8 @@ from noisemod.harness import (
 
 from test_analysis import explicit_configs
 
-CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+REPO_ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = sorted((REPO_ROOT / "configs").glob("*.json"))
 
 # Mean levels 0, 5e-5, 2e-4 and 2.5e-4 with the canonical variances: at 8
 # samples per symbol and sigma_w = 2e-5 a GQNM mean sits ~2.4 block spreads
@@ -62,6 +64,11 @@ NEAR_THRESHOLD = SchemeConfig(
     SubchannelParams(m_L=0.0, m_H=5e-5, var_0=1e-10, var_1=5e-10),
     SubchannelParams(m_L=0.0, m_H=2e-4, var_0=2e-9, var_1=1e-8),
 )
+
+
+def _bank(scheme, config, sigma_w, mode=ThresholdMode.NOISE_ADJUSTED):
+    """The receiver a sweep cell builds for `scheme` on `config` at sigma_w."""
+    return threshold_bank(scheme, *derive_subchannels(config), mode=mode, sigma_w=sigma_w)
 
 
 class TestWilson:
@@ -85,40 +92,36 @@ class TestWilson:
 
 class TestRunPoint:
     def test_noiseless_round_trip(self):
-        est = run_point(
-            Scheme.CGQNM, DEFAULT_SCHEME, ChannelConfig(0.0), 40_000, 40_000, NoiseSource(51)
-        )
+        est = run_point(_bank(Scheme.CGQNM, DEFAULT_SCHEME, 0.0), 40_000, 40_000, NoiseSource(51))
         assert est.bits >= 40_000
         assert est.bep <= 1e-3
         assert est.errors <= est.bits
         assert est.ci_low <= est.bep <= est.ci_high
 
     def test_kljn_noiseless_is_error_free(self):
-        est = run_point(
-            Scheme.KLJN, DEFAULT_SCHEME, ChannelConfig(0.0), 10_000, 10_000, NoiseSource(52)
-        )
+        est = run_point(_bank(Scheme.KLJN, DEFAULT_SCHEME, 0.0), 10_000, 10_000, NoiseSource(52))
         assert est.errors == 0 and est.bep == 0.0
 
     def test_degenerate_config_propagates(self):
         sub = SubchannelParams(1.0, 2.0, 1.0, 2.0)
         cfg = SchemeConfig(sub, sub)
         with pytest.raises(DegenerateLevelsError):
-            run_point(Scheme.CGQNM, cfg, ChannelConfig(0.0), 100, 1000, NoiseSource(1))
+            run_point(_bank(Scheme.CGQNM, cfg, 0.0), 100, 1000, NoiseSource(1))
 
     def test_bad_bit_or_sample_count_rejected(self):
         with pytest.raises(ValueError, match="min_bits must be >= 1"):
-            run_point(Scheme.GQNM, DEFAULT_SCHEME, ChannelConfig(0.0), 100, 0, NoiseSource(1))
+            run_point(_bank(Scheme.GQNM, DEFAULT_SCHEME, 0.0), 100, 0, NoiseSource(1))
         with pytest.raises(ValueError, match="n >= 2 required"):
-            run_point(Scheme.GQNM, DEFAULT_SCHEME, ChannelConfig(0.0), 1, 1000, NoiseSource(1))
+            run_point(_bank(Scheme.GQNM, DEFAULT_SCHEME, 0.0), 1, 1000, NoiseSource(1))
 
     def test_same_key_same_estimate(self):
-        args = (Scheme.GQNM, DEFAULT_SCHEME, ChannelConfig(2e-5), 100, 5000)
+        args = (_bank(Scheme.GQNM, DEFAULT_SCHEME, 2e-5), 100, 5000)
         a = run_point(*args, NoiseSource(7, 9))
         b = run_point(*args, NoiseSource(7, 9))
         assert a == b
 
     def test_buffer_reuse_does_not_change_results(self):
-        args = (Scheme.CGQNM, DEFAULT_SCHEME, ChannelConfig(2e-5), 50, 8000)
+        args = (_bank(Scheme.CGQNM, DEFAULT_SCHEME, 2e-5), 50, 8000)
         own = run_point(*args, NoiseSource(3, 4))
         buffer = np.full((2, 1 << 16), np.nan)
         assert run_point(*args, NoiseSource(3, 4), buffer=buffer) == own
@@ -129,7 +132,7 @@ class TestRunPoint:
             run_point(*args, NoiseSource(3, 4), buffer=np.empty((2, 2000), np.float32))
 
     def test_chunking_does_not_change_results(self, monkeypatch):
-        args = (Scheme.CGQNM, DEFAULT_SCHEME, ChannelConfig(2e-5), 50, 8000)
+        args = (_bank(Scheme.CGQNM, DEFAULT_SCHEME, 2e-5), 50, 8000)
         whole = run_point(*args, NoiseSource(3, 4))
         import noisemod.harness as hn
         monkeypatch.setattr(hn, "CHUNK_SYMBOLS", 64)
@@ -145,14 +148,14 @@ class TestRunPoint:
         # or variance can leave its region with chance 2^-128, so the cell
         # reports 0 errors without creating its generator
         rng = NoiseSource(1)
-        est = run_point(scheme, DEFAULT_SCHEME, ChannelConfig(0.0), n, 100_000, rng)
+        est = run_point(_bank(scheme, DEFAULT_SCHEME, 0.0), n, 100_000, rng)
         assert est == BepEstimate(0, 100_000, 0.0, *wilson_interval(0, 100_000))
         assert rng._gen is None
 
     def test_uncertain_cell_draws(self):
         # canonical CGQNM's top variance levels, 101e-10 and 105e-10, can err
         rng = NoiseSource(1)
-        est = run_point(Scheme.CGQNM, DEFAULT_SCHEME, ChannelConfig(0.0), 8000, 100_000, rng)
+        est = run_point(_bank(Scheme.CGQNM, DEFAULT_SCHEME, 0.0), 8000, 100_000, rng)
         assert est.errors > 0 and rng._gen is not None
 
     # 1000 symbols at n = 8 and sigma_w = 2e-5 from NoiseSource(2024, 3), in
@@ -177,7 +180,7 @@ class TestRunPoint:
 
         monkeypatch.setattr(hn, "CHUNK_SYMBOLS", 64)
         est = run_point(
-            scheme, DEFAULT_SCHEME, ChannelConfig(2e-5), 8, 1000 * scheme.bits_per_symbol,
+            _bank(scheme, DEFAULT_SCHEME, 2e-5), 8, 1000 * scheme.bits_per_symbol,
             NoiseSource(2024, 3),
         )
         assert est == self.PINNED[scheme]
@@ -189,7 +192,7 @@ class TestRunPoint:
 
         monkeypatch.setattr(hn, "CHUNK_SYMBOLS", 64)
         est = run_point(
-            scheme, NEAR_THRESHOLD, ChannelConfig(2e-5), 8, 1000 * scheme.bits_per_symbol,
+            _bank(scheme, NEAR_THRESHOLD, 2e-5), 8, 1000 * scheme.bits_per_symbol,
             NoiseSource(2024, 3),
         )
         assert est == self.PINNED_NEAR_THRESHOLD[scheme]
@@ -269,10 +272,7 @@ class TestRunPoint:
                 elif scheme is Scheme.KLJN:
                     assert got == (bisect_right(var_th, var_hat[k]),)
                 manual_errors += sum(a != b for a, b in zip(got, table.bits_of(i, j)))
-            est = run_point(
-                scheme, config, ChannelConfig(sigma_w), n,
-                scheme.bits_per_symbol * n_sym, NoiseSource(77, 5),
-            )
+            est = run_point(bank, n, scheme.bits_per_symbol * n_sym, NoiseSource(77, 5))
             assert est.errors == manual_errors
 
     def test_vectorized_detection_matches_region_table(self, canonical_subs):
@@ -423,6 +423,59 @@ class TestVarErrorBound:
         assert s2n[0] * 1999 > 3e-10 and bounds[0] == 0.0
 
 
+def _readme_certain_n():
+    """README's 2^-128 table, {(config stem, sigma_w): {scheme: N}}: the least
+    samples per bit at which a shipped config's noise-adjusted cell draws nothing."""
+    rows = {}
+    for line in (REPO_ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 4 and cells[0].startswith(("canonical,", "paper_literal,")):
+            name, sigma_w, _ = (part.strip() for part in cells[0].split(","))
+            rows[name, float(sigma_w)] = {
+                scheme: int(cell.replace(",", "")) for scheme, cell in zip(Scheme, cells[1:])
+            }
+    return rows
+
+
+CERTAIN_N = _readme_certain_n()
+
+
+def _draws(scheme, config, sigma_w, n_per_bit, mode=ThresholdMode.NOISE_ADJUSTED):
+    """Whether a 1000-bit cell at n_per_bit samples per bit creates its generator."""
+    rng = NoiseSource(1)
+    bank = _bank(scheme, config, sigma_w, mode)
+    run_point(bank, n_per_bit * scheme.bits_per_symbol, 1000, rng)
+    return rng._gen is not None
+
+
+class TestReadmeCertainTable:
+    """README's 2^-128 table holds at its boundaries: at each entry's N per
+    bit the cell draws nothing, and at N - 1 it draws."""
+
+    def test_table_is_read_whole(self):
+        assert sorted(CERTAIN_N) == [("canonical", 0.0), ("canonical", 2e-5),
+                                     ("paper_literal", 0.0), ("paper_literal", 2e-5)]
+        assert all(list(row) == list(Scheme) for row in CERTAIN_N.values())
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("name, sigma_w", sorted(CERTAIN_N))
+    def test_rule_fires_from_the_table_n(self, name, sigma_w, scheme):
+        config = load_config(REPO_ROOT / "configs" / f"{name}.json")[0]
+        n = CERTAIN_N[name, sigma_w][scheme]
+        assert not _draws(scheme, config, sigma_w, n)
+        assert _draws(scheme, config, sigma_w, n - 1)
+        if sigma_w == 0.0:  # "either" mode: without noise the thresholds are the same
+            assert not _draws(scheme, config, sigma_w, n, ThresholdMode.MIDPOINT)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("name", ["canonical", "paper_literal"])
+    def test_paper_thresholds_never_fire_with_noise(self, name, scheme):
+        # sigma_w^2 lifts the low levels' means past unshifted thresholds
+        config = load_config(REPO_ROOT / "configs" / f"{name}.json")[0]
+        n = CERTAIN_N[name, 2e-5][scheme]
+        assert _draws(scheme, config, 2e-5, n, ThresholdMode.MIDPOINT)
+
+
 class TestSamplerAgreement:
     """The closed-form moment draw against real samples (modulate/awgn/estimate)."""
 
@@ -473,7 +526,7 @@ class TestSamplerAgreement:
             got = detect_symbol(block, bank).bits
             errors += sum(a != b for a, b in zip(got, bits))
         low, high = wilson_interval(errors, bps * k)
-        est = run_point(scheme, config, ChannelConfig(sigma_w), n, bps * k, NoiseSource(819))
+        est = run_point(bank, n, bps * k, NoiseSource(819))
         assert est.ci_low <= high and low <= est.ci_high
 
     @pytest.mark.parametrize("scheme", list(Scheme))
@@ -541,7 +594,7 @@ def _draws_per_run(monkeypatch, scheme, config, n):
         generator = Recording(NoiseSource(838).generator)
 
     monkeypatch.setattr(hn, "CHUNK_SYMBOLS", 64)
-    run_point(scheme, config, ChannelConfig(2e-5), n, 150 * scheme.bits_per_symbol, Source())
+    run_point(_bank(scheme, config, 2e-5), n, 150 * scheme.bits_per_symbol, Source())
     return calls
 
 
@@ -559,6 +612,12 @@ def _tiny_spec(**overrides):
     return SweepSpec(**kwargs)
 
 
+def _cpus(monkeypatch, count):
+    """Let run_sweep see `count` CPUs, by affinity and by count."""
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
 class TestRunSweep:
     def test_grid_size_and_order(self):
         records = run_sweep(_tiny_spec()).records
@@ -574,7 +633,7 @@ class TestRunSweep:
         serial = run_sweep(spec, workers=1)
         # one symbol per worker is enough, and 4 CPUs, so the sweep really runs 4 threads
         monkeypatch.setattr(hn, "SYMBOLS_PER_WORKER", 1)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        _cpus(monkeypatch, 4)
         parallel = run_sweep(spec, workers=4)
         for a, b in zip(serial.records, parallel.records):
             assert a.estimate == b.estimate
@@ -587,7 +646,7 @@ class TestRunSweep:
             def start(self):
                 raise AssertionError("a thread was started")
 
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        _cpus(monkeypatch, 4)
         monkeypatch.setattr(threading, "Thread", Unstartable)
         pooled = run_sweep(_tiny_spec(), workers=4)
         assert [r.estimate for r in pooled.records] == [r.estimate for r in serial.records]
@@ -604,7 +663,7 @@ class TestRunSweep:
                 super().start()
 
         monkeypatch.setattr(threading, "Thread", Recorder)
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        _cpus(monkeypatch, 8)
         monkeypatch.setattr(hn, "SYMBOLS_PER_WORKER", 1000)
         # 2 values x (1000 + 500 + 250) symbols = 3500 symbols: 3 workers, not 8,
         # the calling thread and 2 helpers
@@ -617,6 +676,14 @@ class TestRunSweep:
         spec = _tiny_spec()
         cells = [(scheme, i) for scheme in spec.schemes for i in range(len(spec.values))]
         monkeypatch.setattr(hn, "SYMBOLS_PER_WORKER", 1)
+        _cpus(monkeypatch, 3)
+        assert hn._pool_size(spec, cells, 10**6) == 3
+        # pinned to one of 8 CPUs (taskset -c 0): one worker, not 8
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert hn._pool_size(spec, cells, 10**6) == 1
+        # no affinity call (not Linux): the CPU count caps
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert hn._pool_size(spec, cells, 10**6) == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one worker
@@ -642,7 +709,7 @@ class TestRunSweep:
 
         # 2 KLJN cells of SYMBOLS_PER_WORKER symbols: two shares, so two workers
         spec = _tiny_spec(schemes=(Scheme.KLJN,), min_bits=hn.SYMBOLS_PER_WORKER)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        _cpus(monkeypatch, 2)
         serial = run_sweep(spec, workers=1)
         threads, real = [], hn._run_cell
         barrier = threading.Barrier(2, timeout=30)
@@ -665,7 +732,7 @@ class TestRunSweep:
         import noisemod.harness as hn
 
         monkeypatch.setattr(hn, "SYMBOLS_PER_WORKER", 1)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        _cpus(monkeypatch, 2)
         caller, released, begun = threading.get_ident(), threading.Event(), []
 
         def cell(spec, scheme, index, buffer):
@@ -694,7 +761,7 @@ class TestRunSweep:
         import noisemod.harness as hn
 
         monkeypatch.setattr(hn, "SYMBOLS_PER_WORKER", 1)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        _cpus(monkeypatch, 2)
         caller, raised, failed, real = threading.get_ident(), threading.Event(), [], hn._run_cell
 
         def cell(spec, scheme, index, buffer):
@@ -735,6 +802,23 @@ class TestRunSweep:
         for scheme_idx in range(3):
             assert full[scheme_idx * 2].estimate == lone[scheme_idx].estimate
 
+    @pytest.mark.parametrize("mode", list(ThresholdMode))
+    @pytest.mark.parametrize("variable, values", [
+        (SweepVariable.SAMPLES_N, (40, 100)), (SweepVariable.SIGMA_W, (0.0, 2e-5)),
+    ], ids=["n", "sigma_w"])
+    def test_cells_are_run_point_on_their_bank(self, variable, values, mode):
+        # a sweep cell is the library call: run_point on the bank of its
+        # scheme, config, sigma_w and mode, at its samples per symbol and stream
+        spec = _tiny_spec(variable=variable, values=values, threshold_mode=mode)
+        result = run_sweep(spec)
+        assert result.failures == () and len(result.records) == 6
+        for record in result.records:
+            i = values.index(record.value)
+            bank = _bank(record.scheme, spec.scheme_config, record.sigma_w, mode)
+            rng = NoiseSource(spec.seed, stable_stream_id(record.scheme.value, i))
+            n_symbol = record.n * record.scheme.bits_per_symbol  # per-bit fairness
+            assert run_point(bank, n_symbol, spec.min_bits, rng) == record.estimate
+
     def test_per_symbol_fairness_shrinks_blocks(self):
         per_bit = run_sweep(_tiny_spec(values=(100,))).records
         per_sym = run_sweep(_tiny_spec(values=(100,), fairness=Fairness.PER_SYMBOL)).records
@@ -751,7 +835,7 @@ class TestRunSweep:
         )
         if workers > 1:  # one symbol per worker is enough, so the sweep really runs 2 threads
             monkeypatch.setattr(hn, "SYMBOLS_PER_WORKER", 1)
-            monkeypatch.setattr(os, "cpu_count", lambda: 2)
+            _cpus(monkeypatch, 2)
         result = run_sweep(spec, workers=workers)
         assert len(result.failures) == 1
         # the exception type, then its message

@@ -5,8 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from noisemod import (
+    DegenerateLevelsError,
     NoiseSource,
     Scheme,
     SymbolBits,
@@ -15,6 +17,7 @@ from noisemod import (
     scheme_table,
     select_state,
 )
+from test_analysis import explicit_configs
 
 
 class TestSymbolBits:
@@ -123,6 +126,40 @@ class TestSchemeTable:
             assert (len(table.means), len(table.variances)) == levels
             assert len(table.mean_thresholds) == levels[0] - 1
             assert len(table.var_thresholds) == levels[1] - 1
+
+
+def _index_sums(pairs):
+    """Level i of (low, high) pairs: the sum over pair k of its high value
+    where bit k of i is set and its low value where it is clear."""
+    levels = {}
+    for choice in itertools.product((0, 1), repeat=len(pairs)):
+        index = sum(bit << k for k, bit in enumerate(choice))
+        levels[index] = sum(pair[bit] for pair, bit in zip(pairs, choice))
+    return tuple(levels[i] for i in range(len(levels)))
+
+
+# Subchannels summed by each scheme's (mean, variance) level index.
+SUBCHANNELS_SUMMED = {Scheme.KLJN: (0, 1), Scheme.GQNM: (1, 1), Scheme.CGQNM: (2, 2)}
+
+
+class TestSchemeTableProperty:
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(config=explicit_configs())
+    def test_table_built_exactly_for_ordered_levels(self, config):
+        """A table is built exactly when both index-sum level sets strictly
+        ascend in index order, and holds those levels."""
+        subs = (config.sub0, config.sub1)
+        for scheme, (n_mean, n_var) in SUBCHANNELS_SUMMED.items():
+            means = _index_sums([(s.m_L, s.m_H) for s in subs[:n_mean]])
+            variances = _index_sums([(s.var_0, s.var_1) for s in subs[:n_var]])
+            ordered = all(a < b for levels in (means, variances)
+                          for a, b in zip(levels, levels[1:]))
+            if ordered:
+                table = scheme_table(scheme, *subs)
+                assert (table.means, table.variances) == (means, variances)
+            else:
+                with pytest.raises(DegenerateLevelsError):
+                    scheme_table(scheme, *subs)
 
 
 class TestModulate:
