@@ -34,8 +34,8 @@ CHUNK_SYMBOLS = 1 << 16
 SYMBOLS_PER_WORKER = 1 << 18
 
 # log(2^-128): a cell draws no mean deviations when every state's chance of
-# leaving its mean region is bounded below this (see _log_mean_error_bounds),
-# and nothing at all when every variance level's is too (_log_var_error_bounds).
+# leaving its mean region is bounded below this, and nothing at all when
+# every variance level's is too (see _must_draw).
 LOG_NEGLIGIBLE = -128.0 * math.log(2.0)
 
 WILSON_Z = 1.96  # two-sided 95%
@@ -69,15 +69,15 @@ class BepEstimate:
     ci_high: float
 
 
-def wilson_interval(errors: int, bits: int, z: float = WILSON_Z) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (sane at 0 errors)."""
+def wilson_interval(errors: int, bits: int) -> tuple[float, float]:
+    """Wilson score interval at z = WILSON_Z for a binomial proportion (sane at 0 errors)."""
     if bits <= 0:
         raise ValueError("bits must be positive")
     p = errors / bits
-    z2 = z * z
+    z2 = WILSON_Z * WILSON_Z
     denom = 1.0 + z2 / bits
     center = (p + z2 / (2.0 * bits)) / denom
-    half = (z / denom) * math.sqrt(p * (1.0 - p) / bits + z2 / (4.0 * bits * bits))
+    half = (WILSON_Z / denom) * math.sqrt(p * (1.0 - p) / bits + z2 / (4.0 * bits * bits))
     # the interval always contains p analytically; rounding can break that
     # at the 0/1 boundary, so widen to p before clamping
     return max(0.0, min(center - half, p)), min(1.0, max(center + half, p))
@@ -155,53 +155,51 @@ def _log_sum_exp(logs):
     return top + sum(math.log1p(math.exp(e - top)) for e in logs)
 
 
-def _log_mean_error_bounds(mean_th, s2n):
-    """Log of a bound on each state's chance that its mean leaves its region,
-    as rows[variance index][mean index].
-
-    State (m, v) draws a Normal(0, s2n[v]) deviation, and its region's
-    edges are mean_th[m][m - 1] and mean_th[m][m], the adjacent thresholds
-    less level m (a farther one is crossed only through them).  An edge at
-    distance d is crossed with chance at most exp(-d^2 / (2 s2n[v])), the
-    Chernoff bound of the normal tail, and the edges' bounds add.
-    """
-    rows = []
-    for var in s2n:
-        row = []
-        for m, edges in enumerate(mean_th):
-            below = [-edges[m - 1]] if m > 0 else []
-            above = [edges[m]] if m < len(edges) else []
-            row.append(_log_sum_exp(-(d * d) / (2.0 * var) for d in below + above))
-        rows.append(row)
-    return rows
+def _log_edge_bounds(levels, thresholds, log_tail):
+    """Log of a bound on each level's chance that its statistic leaves its
+    region.  Level i's edges are its adjacent thresholds in use,
+    thresholds[i - 1] below and thresholds[i] above (a farther one is
+    crossed only through them); log_tail(level, t, upper) bounds the log
+    chance of crossing edge t, and the edges' bounds add."""
+    bounds = []
+    for i, level in enumerate(levels):
+        edges = [(thresholds[j], j == i) for j in (i - 1, i) if 0 <= j < len(thresholds)]
+        bounds.append(_log_sum_exp(log_tail(level, t, upper) for t, upper in edges))
+    return bounds
 
 
-def _log_var_error_bounds(var_th, s2n, n):
-    """Log of a bound on each variance level's chance that its sample
-    variance leaves its region.
+def _log_normal_tail(d, var):
+    """Chernoff bound of the normal tail: a Normal(0, var) variate crosses an
+    edge at distance d with chance at most exp(-d^2 / (2 var))."""
+    return -(d * d) / (2.0 * var)
 
-    Level v draws s2n[v] times a chi-square(k) variate, k = n - 1, and its
-    region's edges are the adjacent thresholds var_th[v - 1] and var_th[v].
-    At x = t / (s2n[v] k), edge t is crossed with chance at most
-    exp(-(k/2)(x - 1 - ln x)), the Chernoff bound of chi-square(k), when t
-    lies beyond the variate's mean (x > 1 above it, x < 1 below it), and
-    with chance at most 1 otherwise.  The edges' bounds add.
-    """
-    k = n - 1
-    levels = []
-    for v, var in enumerate(s2n):
-        below = [(var_th[v - 1], False)] if v > 0 else []
-        above = [(var_th[v], True)] if v < len(var_th) else []
-        logs = []
-        for t, upper in below + above:
-            x = t / (var * k)
-            if not (x > 1.0 if upper else x < 1.0):
-                logs.append(0.0)
-                continue
-            d = x - 1.0  # exact for x >= 0.5, so log1p keeps x - 1 - ln x exact near 1
-            logs.append(-0.5 * k * (d - (math.log1p(d) if x >= 0.5 else math.log(x))))
-        levels.append(_log_sum_exp(logs))
-    return levels
+
+def _log_chi2_tail(x, k, upper):
+    """Chernoff bound of chi-square(k): it crosses an edge at x times its mean
+    with chance at most exp(-(k/2)(x - 1 - ln x)) when the edge lies beyond
+    the mean (x > 1 above it, x < 1 below it), and at most 1 otherwise."""
+    if not (x > 1.0 if upper else x < 1.0):
+        return 0.0
+    d = x - 1.0  # exact for x >= 0.5, so log1p keeps x - 1 - ln x exact near 1
+    return -0.5 * k * (d - (math.log1p(d) if x >= 0.5 else math.log(x)))
+
+
+def _must_draw(bank, n):
+    """The 2^-128 rule: (means, anything), whether some state's block mean,
+    and whether some statistic at all, can leave its region with chance
+    2^-128 or more at n samples per symbol.  Variance level v's mean
+    deviation is Normal(0, s2n) and its sample variance s2n times a
+    chi-square(n - 1) variate, with s2n = (v + sigma_w^2) / n."""
+    table, k = bank.table, n - 1
+    s2n = [(v + bank.sigma_w * bank.sigma_w) / n for v in table.variances]
+    means = any(
+        bound >= LOG_NEGLIGIBLE
+        for var in s2n
+        for bound in _log_edge_bounds(table.means, bank.mean_thresholds,
+                                      lambda m, t, _: _log_normal_tail(t - m, var)))
+    return means, means or max(_log_edge_bounds(
+        s2n, bank.effective_var_thresholds,
+        lambda var, t, upper: _log_chi2_tail(t / (var * k), k, upper))) >= LOG_NEGLIGIBLE
 
 
 def run_point(
@@ -222,16 +220,15 @@ def run_point(
     over all bit positions until at least min_bits bits are counted.  The
     symbols of a chunk are exchangeable, so each chunk of CHUNK_SYMBOLS is
     drawn state by state: the state counts, the mean deviations, then the
-    chi-square draws.  The cell draws no mean deviations, and counts no
-    mean errors, when no state's mean can leave its region with chance
-    2^-128 or more (see _log_mean_error_bounds); a scheme with one mean
-    level has no mean region to leave.  When, besides, no variance level's
-    sample variance can leave its region with chance 2^-128 or more (see
-    _log_var_error_bounds), no bit can err: the cell draws nothing, not
-    even the state counts, and reports 0 errors over the bits it would
-    have drawn.  A NoiseSource key fixes the estimate.  `buffer`, a float64
-    array of shape (2, >= min(CHUNK_SYMBOLS, symbols)), holds the chunk's
-    statistics (run_sweep reuses one per worker); None allocates one.
+    chi-square draws.  The 2^-128 rule (see _must_draw) is read once per
+    cell: the cell draws no mean deviations, and counts no mean errors,
+    when no state's mean can leave its region with chance 2^-128 or more
+    (a scheme with one mean level has no mean region to leave), and when
+    no statistic can, no bit can err: the cell draws nothing, not even the
+    state counts, and reports 0 errors over the bits it would have drawn.
+    A NoiseSource key fixes the estimate.  `buffer`, a float64 array of
+    shape (2, >= min(CHUNK_SYMBOLS, symbols)), holds the chunk's statistics
+    (run_sweep reuses one per worker); None allocates one.
     """
     if min_bits < 1:
         raise ValueError("min_bits must be >= 1")
@@ -240,12 +237,11 @@ def run_point(
     table, sigma_w = bank.table, bank.sigma_w
     mean_th = [tuple(t - m for t in bank.mean_thresholds) for m in table.means]
     var_th = bank.effective_var_thresholds
-    s2n = [(v + sigma_w * sigma_w) / n for v in table.variances]
-    draw_means = max(map(max, _log_mean_error_bounds(mean_th, s2n))) >= LOG_NEGLIGIBLE
+    draw_means, draw_any = _must_draw(bank, n)
     bps = table.scheme.bits_per_symbol
     total_symbols = -(-min_bits // bps)
     bits_counted = total_symbols * bps
-    if not draw_means and max(_log_var_error_bounds(var_th, s2n, n)) < LOG_NEGLIGIBLE:
+    if not draw_any:
         return BepEstimate(0, bits_counted, 0.0, *wilson_interval(0, bits_counted))
     chunk = min(CHUNK_SYMBOLS, total_symbols)
     if buffer is None:

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .params import ChannelConfig, DegenerateLevelsError, SubchannelParams
+from .params import ChannelConfig, ConfigError, DegenerateLevelsError, SubchannelParams
 
 
 class Scheme(Enum):
@@ -205,6 +205,10 @@ class ThresholdBank:
     the noise harness.run_point adds to every sample.
 
     Build it with threshold_bank, the one place the noise adjustment is made.
+    Each threshold tuple must fit its level set: one threshold between each
+    two adjacent levels, all finite and non-decreasing (ConfigError
+    otherwise).  Noise-adjusted thresholds may tie where sigma_w^2 swamps
+    the gap between two midpoints.
     """
 
     table: SchemeTable
@@ -214,6 +218,14 @@ class ThresholdBank:
 
     def __post_init__(self):
         ChannelConfig(self.sigma_w)  # ConfigError unless a valid channel noise level
+        for name, levels in (("mean_thresholds", self.table.means),
+                             ("effective_var_thresholds", self.table.variances)):
+            thresholds = getattr(self, name)
+            if (len(thresholds) != len(levels) - 1
+                    or not all(map(math.isfinite, thresholds))
+                    or any(b < a for a, b in zip(thresholds, thresholds[1:]))):
+                raise ConfigError(f"{name} must be {len(levels) - 1} finite non-decreasing "
+                                  f"thresholds for {len(levels)} levels, got {thresholds!r}")
 
 
 def threshold_bank(

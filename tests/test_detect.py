@@ -1,5 +1,6 @@
 """Estimator and threshold-detector tests, including round trips."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -129,6 +130,29 @@ class TestBankNoise:
         bank = threshold_bank(Scheme.KLJN, canonical_subs[0], sigma_w=sigma_w)
         assert bank.effective_var_thresholds == thresholds
         assert bank.sigma_w == sigma_w
+
+    @pytest.mark.parametrize("scheme, name, bad", [
+        (Scheme.GQNM, "effective_var_thresholds", (float("nan"),)),
+        (Scheme.GQNM, "effective_var_thresholds", (5e-10, 7e-10, 9e-10)),
+        (Scheme.GQNM, "effective_var_thresholds", ()),
+        (Scheme.CGQNM, "mean_thresholds", (0.1105, 0.063, 0.0155)),
+    ])
+    def test_thresholds_must_fit_the_table(self, canonical_subs, scheme, name, bad):
+        # the engine walks each level's adjacent thresholds by position, so a
+        # hand-built bank whose thresholds do not fit its table is refused
+        # (each of these once ran and returned a wrong BEP, or an IndexError)
+        bank = threshold_bank(scheme, *canonical_subs, sigma_w=2e-5)
+        with pytest.raises(ConfigError, match=name):
+            dataclasses.replace(bank, **{name: bad})
+
+    @pytest.mark.parametrize("sigma_w", [0.0, 2e-5, 1e4])
+    def test_tied_noise_adjusted_thresholds_kept(self, canonical_subs, sigma_w):
+        # at sigma_w = 1e4 the shift by sigma_w^2 rounds two of the composite
+        # variance thresholds to the same value; such a bank still builds
+        bank = threshold_bank(Scheme.CGQNM, *canonical_subs, sigma_w=sigma_w)
+        assert len(bank.effective_var_thresholds) == 3
+        if sigma_w == 1e4:
+            assert bank.effective_var_thresholds[:2] == (1e8, 1e8)
 
 
 class TestDetectSymbol:

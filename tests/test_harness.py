@@ -1,5 +1,7 @@
 """BEP engine, sweep determinism, and emission tests."""
 
+import contextlib
+import io
 import itertools
 import json
 import math
@@ -46,8 +48,10 @@ from noisemod.harness import (
     BepEstimate,
     CellFailure,
     _detect_bits,
-    _log_mean_error_bounds,
-    _log_var_error_bounds,
+    _log_chi2_tail,
+    _log_edge_bounds,
+    _log_normal_tail,
+    _must_draw,
     _symbol_states,
     compute_moments,
 )
@@ -369,16 +373,18 @@ class TestMeanErrorBound:
                 continue
             mean_th = [tuple(t - m for t in bank.mean_thresholds) for m in bank.table.means]
             s2n = [(v + sigma_w * sigma_w) / n for v in bank.table.variances]
-            bounds = _log_mean_error_bounds(mean_th, s2n)
-            if max(map(max, bounds)) >= LOG_NEGLIGIBLE:
+            if _must_draw(bank, n)[0]:
                 continue  # the cell draws normals
+            bounds = [_log_edge_bounds(bank.table.means, bank.mean_thresholds,
+                                       lambda m, t, _: _log_normal_tail(t - m, var))
+                      for var in s2n]
             for row, var in zip(bounds, s2n):
                 for m, (edges, bound) in enumerate(zip(mean_th, row)):
                     below = edges[m - 1] if m > 0 else -math.inf
                     above = edges[m] if m < len(edges) else math.inf
                     exact = np.logaddexp(norm.logcdf(below / math.sqrt(var)),
                                          norm.logsf(above / math.sqrt(var)))
-                    assert exact <= bound and exact < LOG_NEGLIGIBLE
+                    assert exact <= bound < LOG_NEGLIGIBLE
 
 
 def _var_bounds(scheme, config, n, sigma_w, mode=ThresholdMode.NOISE_ADJUSTED):
@@ -386,7 +392,9 @@ def _var_bounds(scheme, config, n, sigma_w, mode=ThresholdMode.NOISE_ADJUSTED):
     bank = threshold_bank(scheme, *derive_subchannels(config), mode=mode, sigma_w=sigma_w)
     s2n = [(v + sigma_w * sigma_w) / n for v in bank.table.variances]
     var_th = bank.effective_var_thresholds
-    return var_th, s2n, _log_var_error_bounds(var_th, s2n, n)
+    bounds = _log_edge_bounds(s2n, var_th, lambda var, t, upper:
+                              _log_chi2_tail(t / (var * (n - 1)), n - 1, upper))
+    return var_th, s2n, bounds
 
 
 class TestVarErrorBound:
@@ -414,6 +422,15 @@ class TestVarErrorBound:
         # sit too close for their sample variances to be certain
         _, _, bounds = _var_bounds(Scheme.CGQNM, DEFAULT_SCHEME, 8000, 0.0)
         assert bounds[2] >= LOG_NEGLIGIBLE and bounds[3] >= LOG_NEGLIGIBLE
+
+    def test_certain_variances_still_draw_means_that_can_err(self):
+        # variance levels 100x apart are certain at 4000 samples, but the
+        # means sit ~2 block spreads of the high level from their threshold
+        config = SchemeConfig(SubchannelParams(0.0, 6e-6, 1e-10, 1e-8), DEFAULT_SCHEME.sub1)
+        _, _, bounds = _var_bounds(Scheme.GQNM, config, 4000, 0.0)
+        bank = _bank(Scheme.GQNM, config, 0.0)
+        assert max(bounds) < LOG_NEGLIGIBLE and _must_draw(bank, 4000) == (True, True)
+        assert run_point(bank, 4000, 20_000, NoiseSource(5)).errors > 0
 
     def test_mean_past_its_threshold_gets_bound_one(self):
         # paper thresholds ignore sigma_w^2, which lifts level 0's mean
@@ -474,6 +491,36 @@ class TestReadmeCertainTable:
         config = load_config(REPO_ROOT / "configs" / f"{name}.json")[0]
         n = CERTAIN_N[name, 2e-5][scheme]
         assert _draws(scheme, config, 2e-5, n, ThresholdMode.MIDPOINT)
+
+
+def _readme_python_blocks():
+    """README's python code blocks, as (line of the opening fence, source)."""
+    lines = (REPO_ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    blocks, start = [], None
+    for number, line in enumerate(lines, 1):
+        if start is None and line.strip() == "```python":
+            start = number
+        elif start is not None and line.strip() == "```":
+            blocks.append((start, "\n".join(lines[start:number - 1])))
+            start = None
+    return blocks
+
+
+README_BLOCKS = _readme_python_blocks()
+
+
+class TestReadmeExamples:
+    def test_blocks_are_found(self):
+        # "Library use", the scheme table and the block-level pieces
+        assert len(README_BLOCKS) == 3
+
+    @pytest.mark.parametrize("fence, source", README_BLOCKS,
+                             ids=[f"README.md:{fence}" for fence, _ in README_BLOCKS])
+    def test_block_runs(self, fence, source):
+        # padded so that a traceback's line numbers are README's own
+        code = compile("\n" * fence + source, "README.md", "exec")
+        with contextlib.redirect_stdout(io.StringIO()):
+            exec(code, {})
 
 
 class TestSamplerAgreement:
