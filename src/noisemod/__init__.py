@@ -1,11 +1,13 @@
 """Noise-modulation link simulation.
 
-Three schemes share one pipeline: bits pick a Gaussian (mean, variance)
+Three schemes share one link model: bits pick a Gaussian (mean, variance)
 state, a symbol is a block of samples from that state plus channel noise,
 and midpoint threshold detectors on the block's sample mean/variance
-recover the bits (the modem module holds that whole per-symbol link).
-KLJN carries 1 bit on the variance, GQNM 2 bits on (mean, variance), and
-the composite scheme sums two GQNM outputs for 4 bits over 4x4 levels.
+recover the bits.  The modem module holds each scheme's bit layout, level
+table and detector thresholds; the harness module's run_point draws the
+blocks' sufficient statistics and counts the bit errors.  KLJN carries
+1 bit on the variance, GQNM 2 bits on (mean, variance), and the composite
+scheme sums two GQNM outputs for 4 bits over 4x4 levels.
 """
 
 from .analysis import (
@@ -33,18 +35,12 @@ from .harness import (
     wilson_interval,
 )
 from .modem import (
-    BlockEstimates,
     NoiseSource,
     Scheme,
     SchemeTable,
     SymbolBits,
     ThresholdBank,
     ThresholdMode,
-    awgn,
-    detect_bits,
-    detect_symbol,
-    estimate,
-    modulate,
     scheme_table,
     select_state,
     threshold_bank,
@@ -66,7 +62,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BepEstimate",
-    "BlockEstimates",
     "ChannelConfig",
     "ConfigError",
     "DEFAULT_CHANNEL",
@@ -90,18 +85,13 @@ __all__ = [
     "ThresholdBank",
     "ThresholdMode",
     "VariancePairCheck",
-    "awgn",
     "build_report",
     "check_mean_condition",
     "check_variance_condition",
     "chi_square_moment",
     "derive_subchannels",
-    "detect_bits",
-    "detect_symbol",
     "emit",
-    "estimate",
     "load_config",
-    "modulate",
     "run_point",
     "run_sweep",
     "sample_variance_spread",

@@ -214,7 +214,8 @@ def run_point(
 
     The bank carries the scheme table, the thresholds in use and the
     channel noise sigma_w they were set for (see threshold_bank).  Uniform
-    random bits select symbol states, each symbol's block of n Gaussian
+    random bits, log2 of the table's state count per symbol (see
+    ThresholdBank), select symbol states, each symbol's block of n Gaussian
     samples plus that channel noise is reduced to its sufficient
     statistics (see compute_moments) and detected, and errors accumulate
     over all bit positions until at least min_bits bits are counted.  The
@@ -238,7 +239,7 @@ def run_point(
     mean_th = [tuple(t - m for t in bank.mean_thresholds) for m in table.means]
     var_th = bank.effective_var_thresholds
     draw_means, draw_any = _must_draw(bank, n)
-    bps = table.scheme.bits_per_symbol
+    bps = (len(table.means) * len(table.variances)).bit_length() - 1  # states = 2^bps
     total_symbols = -(-min_bits // bps)
     bits_counted = total_symbols * bps
     if not draw_any:

@@ -1,16 +1,16 @@
-"""Noise modems: modulators, the additive white Gaussian channel, and detectors.
+"""Noise modems: scheme bit layouts, level tables and detector thresholds.
 
 Information bits select the mean and variance of a Gaussian state; a
 symbol is a block of independent samples drawn from that state, and the
 detector maps the block's sample mean and variance back to bits.  Each
-scheme's states and midpoint thresholds live in one table (scheme_table),
-its bit layout on the Scheme, and the thresholds in use in a threshold_bank.
+scheme's bit layout lives on the Scheme, its states and midpoint
+thresholds in one table (scheme_table), and the thresholds in use in a
+threshold_bank, which harness.run_point runs.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -83,35 +83,17 @@ class NoiseSource:
 
 @dataclass(frozen=True)
 class SchemeTable:
-    """A scheme's level sets, its bit <-> level map and its detector thresholds.
+    """A scheme's level sets and its midpoint detector thresholds.
 
-    With (mean_bits, var_bits) = scheme.layout, symbol bit mean_bits[k] is
-    bit k of the mean level index and var_bits[k] bit k of the variance
-    level index (least significant first); every symbol bit belongs to
-    exactly one of the two indices.  means and variances are ascending,
-    and the thresholds are the midpoints between adjacent levels.
+    means and variances are ascending and indexed by level index (see
+    Scheme.layout for the symbol bits that form each index), and the
+    thresholds are the midpoints between adjacent levels.
     """
 
-    scheme: Scheme
     means: tuple[float, ...]
     variances: tuple[float, ...]
     mean_thresholds: tuple[float, ...]
     var_thresholds: tuple[float, ...]
-
-    def indices(self, bits: tuple[int, ...]) -> tuple[int, int]:
-        """(mean, variance) level indices of one symbol's bits."""
-        return tuple(
-            sum(bits[p] << k for k, p in enumerate(positions))
-            for positions in self.scheme.layout
-        )
-
-    def bits_of(self, mean_index: int, var_index: int) -> tuple[int, ...]:
-        """The symbol bits that select the given level indices."""
-        bits = [0] * self.scheme.bits_per_symbol
-        for positions, index in zip(self.scheme.layout, (mean_index, var_index)):
-            for k, p in enumerate(positions):
-                bits[p] = index >> k & 1
-        return tuple(bits)
 
 
 def _levels(pairs) -> tuple[float, ...]:
@@ -155,7 +137,7 @@ def scheme_table(
                 raise DegenerateLevelsError(f"coincident composite {label} levels at {a!r}")
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise DegenerateLevelsError(f"composite {label}s out of level order: {levels!r}")
-    return SchemeTable(scheme, means, variances, _midpoints(means), _midpoints(variances))
+    return SchemeTable(means, variances, _midpoints(means), _midpoints(variances))
 
 
 def select_state(
@@ -165,30 +147,9 @@ def select_state(
 ) -> tuple[float, float]:
     """Map a symbol's bits to the (mean, variance) of its Gaussian state."""
     table = scheme_table(bits.scheme, sub0, sub1)
-    mean_index, var_index = table.indices(bits.bits)
+    mean_index, var_index = (sum(bits.bits[p] << k for k, p in enumerate(positions))
+                             for positions in bits.scheme.layout)
     return table.means[mean_index], table.variances[var_index]
-
-
-def modulate(state: tuple[float, float], n: int, rng: NoiseSource) -> np.ndarray:
-    """Draw one symbol block: n independent Normal(mean, variance) samples."""
-    if n < 2:
-        raise ValueError(f"n >= 2 required, got {n}")
-    mean, var = state
-    if var < 0.0:
-        raise ValueError(f"variance must be >= 0, got {var!r}")
-    return mean + math.sqrt(var) * rng.generator.standard_normal(n)
-
-
-def awgn(samples: np.ndarray, sigma_w: float, rng: NoiseSource) -> np.ndarray:
-    """Add independent zero-mean channel noise of standard deviation sigma_w.
-
-    sigma_w == 0 returns the samples unchanged and consumes no draws.
-    """
-    if sigma_w < 0.0:
-        raise ValueError(f"sigma_w must be >= 0, got {sigma_w!r}")
-    if sigma_w == 0.0:
-        return samples
-    return samples + sigma_w * rng.generator.standard_normal(samples.size)
 
 
 class ThresholdMode(Enum):
@@ -205,10 +166,12 @@ class ThresholdBank:
     the noise harness.run_point adds to every sample.
 
     Build it with threshold_bank, the one place the noise adjustment is made.
-    Each threshold tuple must fit its level set: one threshold between each
-    two adjacent levels, all finite and non-decreasing (ConfigError
-    otherwise).  Noise-adjusted thresholds may tie where sigma_w^2 swamps
-    the gap between two midpoints.
+    The table's states, len(means) * len(variances), must be 2^b for some
+    b >= 1, so that uniform random bits select them: b is the bits per
+    symbol harness.run_point counts.  Each threshold tuple must fit its
+    level set: one threshold between each two adjacent levels, all finite
+    and non-decreasing.  Either misfit raises ConfigError.  Noise-adjusted
+    thresholds may tie where sigma_w^2 swamps the gap between two midpoints.
     """
 
     table: SchemeTable
@@ -218,6 +181,10 @@ class ThresholdBank:
 
     def __post_init__(self):
         ChannelConfig(self.sigma_w)  # ConfigError unless a valid channel noise level
+        states = len(self.table.means) * len(self.table.variances)
+        if states < 2 or states & (states - 1):
+            raise ConfigError(f"{len(self.table.means)} mean x {len(self.table.variances)} "
+                              f"variance levels make {states} states, not 2^b for b >= 1")
         for name, levels in (("mean_thresholds", self.table.means),
                              ("effective_var_thresholds", self.table.variances)):
             thresholds = getattr(self, name)
@@ -248,34 +215,3 @@ def threshold_bank(
     if mode is ThresholdMode.NOISE_ADJUSTED and shift > 0.0:
         var_thresholds = tuple(t + shift for t in var_thresholds)
     return ThresholdBank(table, table.mean_thresholds, var_thresholds, sigma_w)
-
-
-@dataclass(frozen=True)
-class BlockEstimates:
-    mean_hat: float
-    var_hat: float
-
-
-def estimate(samples) -> BlockEstimates:
-    """Sample mean and 1/N-divisor sample variance of a block of samples."""
-    x = np.asarray(samples, dtype=np.float64)
-    if x.size < 2:
-        raise ValueError("a sample block needs at least 2 samples")
-    return BlockEstimates(float(x.mean()), float(x.var()))
-
-
-def detect_bits(mean_hat: float, var_hat: float, bank: ThresholdBank) -> tuple[int, ...]:
-    """The symbol bits of the regions a sample mean and variance fall in.
-
-    A value equal to a threshold resolves to the upper region.
-    """
-    return bank.table.bits_of(
-        bisect_right(bank.mean_thresholds, mean_hat),
-        bisect_right(bank.effective_var_thresholds, var_hat),
-    )
-
-
-def detect_symbol(samples, bank: ThresholdBank) -> SymbolBits:
-    """Detect one symbol's bits, in the layout of the bank's scheme, from its samples."""
-    est = estimate(samples)
-    return SymbolBits(bank.table.scheme, detect_bits(est.mean_hat, est.var_hat, bank))

@@ -106,7 +106,7 @@ class TestSampleVarianceSpread:
 
 def hand_table(means, variances, mean_thresholds, var_thresholds):
     """A composite table with hand-built (possibly degenerate) level sets."""
-    return SchemeTable(Scheme.CGQNM, means, variances, mean_thresholds, var_thresholds)
+    return SchemeTable(means, variances, mean_thresholds, var_thresholds)
 
 
 @pytest.fixture

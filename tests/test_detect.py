@@ -1,4 +1,4 @@
-"""Estimator and threshold-detector tests, including round trips."""
+"""Threshold-bank tests, with round trips through the reference detector."""
 
 import dataclasses
 import itertools
@@ -12,49 +12,28 @@ from noisemod import (
     DegenerateLevelsError,
     NoiseSource,
     Scheme,
+    SchemeTable,
     SymbolBits,
     ThresholdBank,
     ThresholdMode,
-    detect_bits,
-    detect_symbol,
-    estimate,
-    modulate,
     scheme_table,
     select_state,
     threshold_bank,
 )
+from reference import detect, received
 from test_analysis import explicit_configs
 
 
 def detect_mean_bits(mean_hat, bank):
     """(b00, b01): the composite mean bits of a one-row detection."""
-    b00, _, b01, _ = detect_bits(mean_hat, 0.0, bank)
+    b00, _, b01, _ = detect(Scheme.CGQNM, bank, moments=(mean_hat, 0.0))
     return b00, b01
 
 
 def detect_var_bits(var_hat, bank):
     """(b10, b11): the composite variance bits of a one-row detection."""
-    _, b10, _, b11 = detect_bits(0.0, var_hat, bank)
+    _, b10, _, b11 = detect(Scheme.CGQNM, bank, moments=(0.0, var_hat))
     return b10, b11
-
-
-class TestEstimate:
-    def test_hand_arithmetic(self):
-        est = estimate([1.0, 2.0, 3.0])
-        assert est.mean_hat == 2.0
-        assert est.var_hat == pytest.approx(2.0 / 3.0, rel=1e-15)
-
-    def test_two_samples(self):
-        est = estimate([0.0, 2.0])
-        assert est == type(est)(1.0, 1.0)
-
-    def test_constant_block(self):
-        est = estimate([7.0] * 64)
-        assert est.mean_hat == 7.0 and est.var_hat == 0.0
-
-    def test_single_sample_rejected(self):
-        with pytest.raises(ValueError, match="at least 2 samples"):
-            estimate([1.0])
 
 
 @pytest.fixture
@@ -83,11 +62,12 @@ class TestMeanBits:
         assert changes == 3
 
     def test_gqnm_bank_gives_one_mean_bit(self, canonical_subs):
-        # the bank's table, not the caller, fixes how many bits come back
+        # a GQNM bank has one mean and one variance threshold: one bit each
         sub0 = canonical_subs[0]
         bank = threshold_bank(Scheme.GQNM, sub0)
-        assert detect_bits(sub0.m_H, 0.0, bank) == (1, 0)
-        assert detect_bits(sub0.m_L, sub0.var_1, bank) == (0, 1)
+        assert (len(bank.mean_thresholds), len(bank.effective_var_thresholds)) == (1, 1)
+        assert detect(Scheme.GQNM, bank, moments=(sub0.m_H, 0.0)) == (1, 0)
+        assert detect(Scheme.GQNM, bank, moments=(sub0.m_L, sub0.var_1)) == (0, 1)
 
 
 class TestVarBits:
@@ -145,6 +125,21 @@ class TestBankNoise:
         with pytest.raises(ConfigError, match=name):
             dataclasses.replace(bank, **{name: bad})
 
+    @pytest.mark.parametrize("means, variances", [
+        ((0.0,), (1e-6, 2e-6, 3e-6)),
+        ((0.0,), (1e-6,)),
+        ((0.0, 1.0, 2.0), (1e-6, 2e-6)),
+    ], ids=["three-variances", "one-state", "three-means"])
+    def test_levels_must_make_whole_bits(self, means, variances):
+        # run_point counts log2(states) bits a symbol; before the bank checked
+        # its states, the first table here ran with one bit a symbol and
+        # reported a BEP of 0.648
+        mids = [tuple((a + b) / 2 for a, b in zip(levels, levels[1:]))
+                for levels in (means, variances)]
+        table = SchemeTable(means, variances, *mids)
+        with pytest.raises(ConfigError, match="not 2\\^b"):
+            ThresholdBank(table, table.mean_thresholds, table.var_thresholds, 0.0)
+
     @pytest.mark.parametrize("sigma_w", [0.0, 2e-5, 1e4])
     def test_tied_noise_adjusted_thresholds_kept(self, canonical_subs, sigma_w):
         # at sigma_w = 1e4 the shift by sigma_w^2 rounds two of the composite
@@ -160,19 +155,19 @@ class TestDetectSymbol:
         # state (third mean level, second variance level) <-> bits (0,1,1,0)
         bits = SymbolBits(Scheme.CGQNM, (0, 1, 1, 0))
         state = select_state(bits, *canonical_subs)
-        block = modulate(state, 10_000, NoiseSource(31))
-        assert detect_symbol(block, cg_bank) == bits
+        block = received(state, 10_000, 0.0, NoiseSource(31).generator)
+        assert detect(Scheme.CGQNM, cg_bank, block) == bits.bits
 
     def test_kljn_constant_block(self, canonical_subs):
         bank = threshold_bank(Scheme.KLJN, canonical_subs[0])
         block = np.zeros(100)
-        assert detect_symbol(block, bank).bits == (0,)
+        assert detect(Scheme.KLJN, bank, block) == (0,)
 
     def test_gqnm_mean_high_var_zero(self, canonical_subs):
         sub0 = canonical_subs[0]
         bank = threshold_bank(Scheme.GQNM, sub0)
         block = np.full(100, sub0.m_H)
-        assert detect_symbol(block, bank).bits == (1, 0)
+        assert detect(Scheme.GQNM, bank, block) == (1, 0)
 
     def test_exact_recovery_from_true_moments(self, canonical_subs, cg_bank):
         for pattern in itertools.product((0, 1), repeat=4):
@@ -193,8 +188,8 @@ class TestDetectSymbol:
             bits = SymbolBits(Scheme.CGQNM, pattern)
             state = select_state(bits, *canonical_subs)
             for _ in range(blocks_per_pattern):
-                block = modulate(state, n, rng)
-                errors += detect_symbol(block, cg_bank) != bits
+                block = received(state, n, 0.0, rng.generator)
+                errors += detect(Scheme.CGQNM, cg_bank, block) != bits.bits
                 total += 1
         assert errors / total <= 1e-3
 

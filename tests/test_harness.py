@@ -27,14 +27,9 @@ from noisemod import (
     SweepVariable,
     SymbolBits,
     ThresholdMode,
-    awgn,
     derive_subchannels,
-    detect_bits,
-    detect_symbol,
     emit,
-    estimate,
     load_config,
-    modulate,
     run_point,
     run_sweep,
     select_state,
@@ -56,6 +51,7 @@ from noisemod.harness import (
     compute_moments,
 )
 
+from reference import detect, layout_bits, received
 from test_analysis import explicit_configs
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -250,7 +246,7 @@ class TestRunPoint:
     def test_matches_blockwise_reference_path(self):
         # replay one chunk's stream (state counts, normals where a mean can
         # err, gammas) and detect each symbol of the state-by-state layout
-        # with the scalar detector; a mean that is not drawn is its level
+        # with the reference detector; a mean that is not drawn is its level
         n_sym, n, sigma_w = 64, 50, 2e-5
         configs = ((DEFAULT_SCHEME, False), (NEAR_THRESHOLD, True))
         for (config, draws_means), scheme in itertools.product(configs, Scheme):
@@ -269,13 +265,13 @@ class TestRunPoint:
             manual_errors = 0
             for k, (i, j) in enumerate(states):
                 mean_hat = table.means[i] + (mean_dev[k] if drawn else 0.0)
-                got = detect_bits(mean_hat, var_hat[k], bank)
+                got = detect(scheme, bank, moments=(mean_hat, var_hat[k]))
                 if scheme is Scheme.GQNM:
                     assert got == (bisect_right(bank.mean_thresholds, mean_hat),
                                    bisect_right(var_th, var_hat[k]))
                 elif scheme is Scheme.KLJN:
                     assert got == (bisect_right(var_th, var_hat[k]),)
-                manual_errors += sum(a != b for a, b in zip(got, table.bits_of(i, j)))
+                manual_errors += sum(a != b for a, b in zip(got, layout_bits(scheme, i, j)))
             est = run_point(bank, n, scheme.bits_per_symbol * n_sym, NoiseSource(77, 5))
             assert est.errors == manual_errors
 
@@ -334,7 +330,7 @@ class TestDetectionProperty:
     @given(case=detection_cases())
     def test_state_layout_matches_scalar_detector(self, case):
         """_detect_bits on one symbol per state counts the Hamming distances of
-        the scalar detect_bits on mean + deviation."""
+        the reference detector on mean + deviation."""
         scheme, config, sigma_w, mode, u, w = case
         bank = threshold_bank(scheme, *derive_subchannels(config), mode=mode, sigma_w=sigma_w)
         table = bank.table
@@ -350,8 +346,8 @@ class TestDetectionProperty:
             # m + dev >= t and dev >= t - m may round apart within an ulp
             assume(all(abs(mean_hat - t) > 8 * math.ulp(max(abs(t), abs(means[i]), abs(dev[s])))
                        for t in bank.mean_thresholds))
-            got = detect_bits(mean_hat, var_hat[s], bank)
-            want += sum(a != b for a, b in zip(got, table.bits_of(i, j)))
+            got = detect(scheme, bank, moments=(mean_hat, var_hat[s]))
+            want += sum(a != b for a, b in zip(got, layout_bits(scheme, i, j)))
         mean_th = [tuple(t - m for t in bank.mean_thresholds) for m in means]
         counts = np.ones((n_var, n_mean), dtype=np.intp)
         got = _detect_bits(counts, dev if n_mean > 1 else None, var_hat, mean_th,
@@ -524,7 +520,7 @@ class TestReadmeExamples:
 
 
 class TestSamplerAgreement:
-    """The closed-form moment draw against real samples (modulate/awgn/estimate)."""
+    """The closed-form moment draw against real samples (tests/reference.py)."""
 
     @pytest.mark.parametrize("sigma_w", [0.0, 2e-5])
     @pytest.mark.parametrize("n", [2, 8, 100])
@@ -533,8 +529,7 @@ class TestSamplerAgreement:
         bits = SymbolBits(Scheme.CGQNM, (0, 0, 0, 0))
         mean, var = select_state(bits, *canonical_subs)
         rng = NoiseSource(808, n)
-        ref = [estimate(awgn(modulate((mean, var), n, rng), sigma_w, rng))
-               for _ in range(k)]
+        blocks = [received((mean, var), n, sigma_w, rng.generator) for _ in range(k)]
         dev, var_hat = compute_moments(
             NoiseSource(809, n).generator, np.array([k]), n, sigma_w, [var],
             np.empty((2, k)),
@@ -543,8 +538,8 @@ class TestSamplerAgreement:
         # (per-sample draws, sampler draws, law variance, law excess kurtosis):
         # mean_hat is Normal(m, s2/n); n * var_hat / s2 is chi-square(n - 1)
         for a, b, v, excess in (
-            (np.array([e.mean_hat for e in ref]), mean + dev, s2 / n, 0.0),
-            (np.array([e.var_hat for e in ref]), var_hat, 2 * (n - 1) * s2**2 / n**2,
+            (np.array([b.mean() for b in blocks]), mean + dev, s2 / n, 0.0),
+            (np.array([b.var() for b in blocks]), var_hat, 2 * (n - 1) * s2**2 / n**2,
              12.0 / (n - 1)),
         ):
             assert abs(a.mean() - b.mean()) < 4 * math.sqrt(2 * v / k)
@@ -569,8 +564,7 @@ class TestSamplerAgreement:
         errors = 0
         for row in rng.generator.integers(0, 2, size=(k, bps)):
             bits = tuple(int(b) for b in row)
-            block = awgn(modulate(states[bits], n, rng), sigma_w, rng)
-            got = detect_symbol(block, bank).bits
+            got = detect(scheme, bank, received(states[bits], n, sigma_w, rng.generator))
             errors += sum(a != b for a, b in zip(got, bits))
         low, high = wilson_interval(errors, bps * k)
         est = run_point(bank, n, bps * k, NoiseSource(819))

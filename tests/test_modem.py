@@ -1,22 +1,22 @@
-"""Modulator state selection, sample generation, and channel tests."""
+"""Scheme layouts, state selection and level-table tests."""
 
 import itertools
+import math
 from dataclasses import replace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import noisemod
 from noisemod import (
     DegenerateLevelsError,
-    NoiseSource,
     Scheme,
     SymbolBits,
-    awgn,
-    modulate,
     scheme_table,
     select_state,
+    threshold_bank,
 )
+from reference import detect
 from test_analysis import explicit_configs
 
 
@@ -81,25 +81,24 @@ class TestSelectState:
 
 class TestSchemeTable:
     @pytest.mark.parametrize("scheme", list(Scheme))
-    def test_bit_positions_are_a_permutation(self, canonical_subs, scheme):
-        table = scheme_table(scheme, *canonical_subs)
-        assert sorted(sum(table.scheme.layout, ())) == list(range(scheme.bits_per_symbol))
+    def test_bit_positions_are_a_permutation(self, scheme):
+        assert sorted(sum(scheme.layout, ())) == list(range(scheme.bits_per_symbol))
 
     @pytest.mark.parametrize("scheme", list(Scheme))
-    def test_indices_and_bits_invert_each_other(self, canonical_subs, scheme):
-        table = scheme_table(scheme, *canonical_subs)
-        patterns = list(itertools.product((0, 1), repeat=scheme.bits_per_symbol))
-        for pattern in patterns:
-            assert table.bits_of(*table.indices(pattern)) == pattern
+    def test_states_and_detection_invert_each_other(self, canonical_subs, scheme):
+        # select_state sums a pattern's bits into level indices, and the
+        # reference detector splits the detected indices back into bits
+        bank = threshold_bank(scheme, *canonical_subs)
+        for pattern in itertools.product((0, 1), repeat=scheme.bits_per_symbol):
+            state = select_state(SymbolBits(scheme, pattern), *canonical_subs)
+            assert detect(scheme, bank, moments=state) == pattern
 
-    def test_layouts(self, canonical_subs):
+    def test_layouts(self):
         assert [(s.value, s.layout, s.bits_per_symbol) for s in Scheme] == [
             ("kljn", ((), (0,)), 1), ("gqnm", ((0,), (1,)), 2), ("cgqnm", ((0, 2), (1, 3)), 4),
         ]
         for scheme in Scheme:
             assert Scheme(scheme.value) is scheme
-            table = scheme_table(scheme, *canonical_subs)
-            assert table.scheme is scheme
 
     def test_missing_subchannel_names_the_scheme(self, canonical_subs):
         with pytest.raises(ValueError, match="cgqnm needs 2 subchannels"):
@@ -126,6 +125,11 @@ class TestSchemeTable:
             assert (len(table.means), len(table.variances)) == levels
             assert len(table.mean_thresholds) == levels[0] - 1
             assert len(table.var_thresholds) == levels[1] - 1
+            # run_point counts bits from a bank's level counts, the sweep
+            # (SweepSpec.n_symbol, _pool_size) from Scheme.bits_per_symbol
+            bank = threshold_bank(scheme, *canonical_subs)
+            states = len(bank.table.means) * len(bank.table.variances)
+            assert math.log2(states) == scheme.bits_per_symbol
 
 
 def _index_sums(pairs):
@@ -162,57 +166,20 @@ class TestSchemeTableProperty:
                     scheme_table(scheme, *subs)
 
 
-class TestModulate:
-    def test_zero_variance_is_constant(self):
-        block = modulate((7.0, 0.0), 5, NoiseSource(1))
-        assert np.all(block == 7.0)
+class TestPublicNamespace:
+    def test_every_exported_name_resolves_once(self):
+        assert len(set(noisemod.__all__)) == len(noisemod.__all__)
+        for name in noisemod.__all__:
+            assert hasattr(noisemod, name), name
+        star = {}
+        exec("from noisemod import *", star)
+        assert set(noisemod.__all__) <= star.keys()
 
-    def test_law_of_large_numbers(self):
-        x = modulate((6e-3, 2.1e-9), 1_000_000, NoiseSource(3))
-        assert abs(x.mean() - 6e-3) < 5.0 * np.sqrt(2.1e-9 / 1e6)
-        assert x.var() == pytest.approx(2.1e-9, rel=1e-2)
-
-    def test_deterministic_given_key(self):
-        a = modulate((1.0, 4.0), 64, NoiseSource(7, 5))
-        b = modulate((1.0, 4.0), 64, NoiseSource(7, 5))
-        assert np.array_equal(a, b)
-
-    def test_streams_differ_across_ids(self):
-        a = modulate((0.0, 1.0), 64, NoiseSource(7, 5))
-        b = modulate((0.0, 1.0), 64, NoiseSource(7, 6))
-        assert not np.array_equal(a, b)
-
-    def test_short_block_rejected(self):
-        with pytest.raises(ValueError):
-            modulate((0.0, 1.0), 1, NoiseSource(1))
-        with pytest.raises(ValueError, match="variance must be >= 0"):
-            modulate((0.0, -1.0), 4, NoiseSource(1))
-
-    def test_normality_sanity(self):
-        x = modulate((0.0, 1.0), 1_000_000, NoiseSource(11))
-        kurtosis = np.mean(x**4) / np.mean(x**2) ** 2
-        assert 2.9 < kurtosis < 3.1
-
-
-class TestAwgn:
-    def _block(self, n, mean=0.0, var=0.0):
-        return modulate((mean, var), n, NoiseSource(21))
-
-    def test_zero_noise_is_identity(self):
-        block = self._block(100, mean=1.5, var=2.0)
-        out = awgn(block, 0.0, NoiseSource(22))
-        assert np.array_equal(out, block)
-
-    def test_noise_statistics(self):
-        out = awgn(self._block(1_000_000), 2e-5, NoiseSource(23))
-        assert out.var() == pytest.approx(4e-10, rel=1e-2)
-
-    def test_deterministic(self):
-        block = self._block(64, var=1.0)
-        a = awgn(block, 0.5, NoiseSource(9, 1))
-        b = awgn(block, 0.5, NoiseSource(9, 1))
-        assert np.array_equal(a, b)
-
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            awgn(self._block(10), -1.0, NoiseSource(1))
+    @pytest.mark.parametrize("name", ["BlockEstimates", "awgn", "detect_bits", "detect_symbol",
+                                      "estimate", "modulate"])
+    def test_per_sample_link_is_gone(self, name):
+        # the engine is the package's one link model; the per-sample link
+        # the tests compare it with lives in tests/reference.py
+        assert name not in noisemod.__all__
+        assert not hasattr(noisemod, name)
+        assert not hasattr(noisemod.modem, name)
