@@ -3,9 +3,10 @@
 Three schemes share one link model: bits pick a Gaussian (mean, variance)
 state, a symbol is a block of samples from that state plus channel noise,
 and midpoint threshold detectors on the block's sample mean/variance
-recover the bits.  The modem module holds each scheme's bit layout, level
-table and detector thresholds; the harness module's run_point draws the
-blocks' sufficient statistics and counts the bit errors.  KLJN carries
+recover the bits.  The modem module holds each scheme's bit layout and
+its receiver, a ThresholdBank of level sets and detector thresholds; the
+harness module's run_point draws the blocks' sufficient statistics and
+counts the bit errors.  KLJN carries
 1 bit on the variance, GQNM 2 bits on (mean, variance), and the composite
 scheme sums two GQNM outputs for 4 bits over 4x4 levels.
 """
@@ -37,11 +38,9 @@ from .harness import (
 from .modem import (
     NoiseSource,
     Scheme,
-    SchemeTable,
     SymbolBits,
     ThresholdBank,
     ThresholdMode,
-    scheme_table,
     select_state,
     threshold_bank,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "RunRecord",
     "Scheme",
     "SchemeConfig",
-    "SchemeTable",
     "SpreadFormula",
     "SubchannelParams",
     "SweepResult",
@@ -95,7 +93,6 @@ __all__ = [
     "run_point",
     "run_sweep",
     "sample_variance_spread",
-    "scheme_table",
     "select_state",
     "stable_stream_id",
     "threshold_bank",

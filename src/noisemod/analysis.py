@@ -3,18 +3,19 @@
 Adjacent mean levels must sit far apart relative to the widest component
 spread, and adjacent variance levels far apart relative to the spread of
 the block variance estimator, for midpoint detection to work.  These
-checks quantify both margins for any scheme table, so a configuration
-can be vetted before it is simulated.
+checks quantify both margins for any level sets, or for the levels a
+threshold bank receives, so a configuration can be vetted before it is
+simulated.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from itertools import pairwise
 
-from .modem import SchemeTable
+from .modem import ThresholdBank
 from .params import SchemeConfig
 
 
@@ -94,14 +95,15 @@ class MeanConditionResult:
 
 
 def check_mean_condition(
-    table: SchemeTable,
+    means: tuple[float, ...],
+    variances: tuple[float, ...],
     config: SchemeConfig,
     margin_factor: float = 1.0,
 ) -> MeanConditionResult:
-    """Check that adjacent mean levels separate beyond the component spread."""
-    gaps = [b - a for a, b in zip(table.means, table.means[1:])]
-    lhs = min(gaps)
-    rhs = 6.0 * math.sqrt(table.variances[-1])
+    """Check that adjacent mean levels separate beyond the component spread
+    of the largest (last) variance level."""
+    lhs = min(b - a for a, b in pairwise(means))
+    rhs = 6.0 * math.sqrt(variances[-1])
     ratio = _ratio(lhs, rhs)
     return MeanConditionResult(lhs_gap=lhs, lhs_literal=config.sub0.m_H, rhs=rhs, ratio=ratio,
                                satisfied=bool(ratio >= margin_factor))
@@ -120,7 +122,7 @@ class VariancePairCheck:
 
 
 def check_variance_condition(
-    table: SchemeTable,
+    variances: tuple[float, ...],
     n: int,
     formula: SpreadFormula = SpreadFormula.CHI_SQUARE,
     margin_factor: float = 1.0,
@@ -132,11 +134,11 @@ def check_variance_condition(
     binding one; every pair is therefore reported.
     """
     sds = []
-    for v in table.variances:
+    for v in variances:
         est_var = sample_variance_spread(v, n, formula)
         sds.append(math.sqrt(est_var) if est_var >= 0.0 else math.nan)
     out = []
-    for (low, high), (sd_low, sd_high) in zip(pairwise(table.variances), pairwise(sds)):
+    for (low, high), (sd_low, sd_high) in zip(pairwise(variances), pairwise(sds)):
         gap = high - low
         spread = 3.0 * sd_low + 3.0 * sd_high
         ratio = _ratio(gap, spread)
@@ -152,9 +154,9 @@ def _json_number(x: float) -> float | None:
 
 @dataclass(frozen=True)
 class DistinguishabilityReport:
-    """Mean- and variance-domain margins of one scheme table at block length n.
+    """Mean- and variance-domain margins of one bank's levels at block length n.
 
-    mean is None for a table with one mean level (KLJN), which carries no
+    mean is None for a bank with one mean level (KLJN), which carries no
     mean bits; pairs holds one check per adjacent variance pair.
     """
 
@@ -191,27 +193,25 @@ class DistinguishabilityReport:
 
 
 def build_report(
-    table: SchemeTable,
+    bank: ThresholdBank,
     config: SchemeConfig,
     n: int,
     formula: SpreadFormula = SpreadFormula.CHI_SQUARE,
     margin_factor: float = 1.0,
-    *,
-    sigma_w: float = 0.0,
 ) -> DistinguishabilityReport:
-    """Evaluate both distinguishability conditions for one scheme table.
+    """Evaluate both distinguishability conditions for one bank's levels.
 
-    config supplies only the paper-literal m_H0 form of the mean gap.  With
-    channel noise sigma_w both margins are judged at the received variance
-    levels v + sigma_w^2.
+    config supplies only the paper-literal m_H0 form of the mean gap.  Both
+    margins are judged at the received variance levels v + sigma_w^2 of the
+    bank's channel noise.
     """
     if not (math.isfinite(margin_factor) and margin_factor > 0.0):
         raise ValueError(f"margin factor must be finite and > 0, got {margin_factor!r}")
-    if sigma_w:
-        noise = sigma_w * sigma_w
-        table = replace(table, variances=tuple(v + noise for v in table.variances))
-    mean = check_mean_condition(table, config, margin_factor) if len(table.means) > 1 else None
-    pairs = check_variance_condition(table, n, formula, margin_factor)
+    noise = bank.sigma_w * bank.sigma_w
+    variances = tuple(v + noise for v in bank.variances)
+    mean = (check_mean_condition(bank.means, variances, config, margin_factor)
+            if len(bank.means) > 1 else None)
+    pairs = check_variance_condition(variances, n, formula, margin_factor)
     warnings = []
     if formula is SpreadFormula.FOURTH_MOMENT:
         warnings.append(

@@ -18,7 +18,7 @@ from dataclasses import asdict
 
 from .analysis import SpreadFormula, build_report, sample_variance_spread
 from .harness import Fairness, SweepSpec, SweepVariable, emit, run_sweep
-from .modem import Scheme, ThresholdMode, scheme_table
+from .modem import Scheme, ThresholdMode, threshold_bank
 from .params import (
     ChannelConfig,
     ConfigError,
@@ -148,10 +148,10 @@ def _preflight_note(spec: SweepSpec) -> None:
     for scheme in spec.schemes:
         n_symbol = spec.n_symbol(scheme, n_worst)
         try:
-            table = scheme_table(scheme, *subs)
-        except DegenerateLevelsError:
+            bank = threshold_bank(scheme, *subs, sigma_w=sigma_w)
+        except (ConfigError, DegenerateLevelsError):
             continue  # the sweep itself will surface this per cell
-        report = build_report(table, spec.scheme_config, n_symbol, sigma_w=sigma_w)
+        report = build_report(bank, spec.scheme_config, n_symbol)
         if not report.satisfied:
             ratios = [p.ratio for p in report.pairs] + ([report.mean.ratio] if report.mean else [])
             worst = min((r for r in ratios if not math.isnan(r)), default=math.nan)
@@ -166,7 +166,7 @@ def cmd_check(args) -> int:
     scheme_config, _, n_default = _load(args)
     n = args.n if args.n is not None else n_default
     report = build_report(
-        scheme_table(Scheme.CGQNM, *derive_subchannels(scheme_config)),
+        threshold_bank(Scheme.CGQNM, *derive_subchannels(scheme_config)),
         scheme_config, n,
         SpreadFormula(args.variance_formula),
         margin_factor=args.margin_factor,
@@ -196,13 +196,15 @@ def cmd_check(args) -> int:
 def cmd_derive(args) -> int:
     scheme_config, _, _ = _load(args)
     subs = derive_subchannels(scheme_config)
-    tables = {scheme.value: scheme_table(scheme, *subs) for scheme in Scheme}
-    lists = lambda table, *keys: {key: list(getattr(table, key)) for key in keys}  # noqa: E731
-    thresholds, subchannels = ("mean_thresholds", "var_thresholds"), asdict(scheme_config)
+    # the paper-mode banks at sigma_w = 0, whose thresholds are the midpoints
+    banks = {s.value: threshold_bank(s, *subs, mode=ThresholdMode.MIDPOINT) for s in Scheme}
+    thresholds = lambda bank: {"mean_thresholds": list(bank.mean_thresholds),  # noqa: E731
+                               "var_thresholds": list(bank.effective_var_thresholds)}
+    composite, subchannels = banks[Scheme.CGQNM.value], asdict(scheme_config)
     payload = {
-        **subchannels,
-        **lists(tables[Scheme.CGQNM.value], "means", "variances", *thresholds),
-        "banks": {name: lists(table, *thresholds) for name, table in tables.items()},
+        **subchannels, "means": list(composite.means), "variances": list(composite.variances),
+        **thresholds(composite),
+        "banks": {name: thresholds(bank) for name, bank in banks.items()},
     }
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -215,7 +217,7 @@ def cmd_derive(args) -> int:
                        ("var thresholds", "var_thresholds")):
         print(f"{label:21}" + joined(payload[key]))
     for name in ("gqnm", "kljn"):
-        mean, var = (joined(payload["banks"][name][key]) for key in thresholds)
+        mean, var = (joined(values) for values in payload["banks"][name].values())
         print(f"{name} thresholds: mean {mean or '-'}  var {var}")
     return 0
 

@@ -83,12 +83,12 @@ def wilson_interval(errors: int, bits: int) -> tuple[float, float]:
     return max(0.0, min(center - half, p)), min(1.0, max(center + half, p))
 
 
-def _symbol_states(gen, n_sym, table):
+def _symbol_states(gen, n_sym, bank):
     """Symbols sent in each state of a chunk, as counts[variance index, mean index]:
-    uniform random bits make them Multinomial(n_sym, [1/L] * L) over the L
-    states.  The chunk is laid out state by state, mean index fastest."""
-    states = len(table.variances) * len(table.means)
-    return gen.multinomial(n_sym, [1.0 / states] * states).reshape(-1, len(table.means))
+    uniform random bits make them Multinomial(n_sym, [1/L] * L) over the bank's
+    L states.  The chunk is laid out state by state, mean index fastest."""
+    states = len(bank.variances) * len(bank.means)
+    return gen.multinomial(n_sym, [1.0 / states] * states).reshape(-1, len(bank.means))
 
 
 def _region_errors(values, thresholds, sent):
@@ -190,12 +190,12 @@ def _must_draw(bank, n):
     2^-128 or more at n samples per symbol.  Variance level v's mean
     deviation is Normal(0, s2n) and its sample variance s2n times a
     chi-square(n - 1) variate, with s2n = (v + sigma_w^2) / n."""
-    table, k = bank.table, n - 1
-    s2n = [(v + bank.sigma_w * bank.sigma_w) / n for v in table.variances]
+    k = n - 1
+    s2n = [(v + bank.sigma_w * bank.sigma_w) / n for v in bank.variances]
     means = any(
         bound >= LOG_NEGLIGIBLE
         for var in s2n
-        for bound in _log_edge_bounds(table.means, bank.mean_thresholds,
+        for bound in _log_edge_bounds(bank.means, bank.mean_thresholds,
                                       lambda m, t, _: _log_normal_tail(t - m, var)))
     return means, means or max(_log_edge_bounds(
         s2n, bank.effective_var_thresholds,
@@ -212,9 +212,9 @@ def run_point(
 ) -> BepEstimate:
     """Estimate the BEP of the receiver `bank` at n samples per symbol.
 
-    The bank carries the scheme table, the thresholds in use and the
-    channel noise sigma_w they were set for (see threshold_bank).  Uniform
-    random bits, log2 of the table's state count per symbol (see
+    The bank carries the level sets, the thresholds in use and the
+    channel noise sigma_w they were set for (see ThresholdBank).  Uniform
+    random bits, log2 of the bank's state count per symbol (see
     ThresholdBank), select symbol states, each symbol's block of n Gaussian
     samples plus that channel noise is reduced to its sufficient
     statistics (see compute_moments) and detected, and errors accumulate
@@ -235,11 +235,10 @@ def run_point(
         raise ValueError("min_bits must be >= 1")
     if n < 2:
         raise ValueError("n >= 2 required")
-    table, sigma_w = bank.table, bank.sigma_w
-    mean_th = [tuple(t - m for t in bank.mean_thresholds) for m in table.means]
+    mean_th = [tuple(t - m for t in bank.mean_thresholds) for m in bank.means]
     var_th = bank.effective_var_thresholds
     draw_means, draw_any = _must_draw(bank, n)
-    bps = (len(table.means) * len(table.variances)).bit_length() - 1  # states = 2^bps
+    bps = (len(bank.means) * len(bank.variances)).bit_length() - 1  # states = 2^bps
     total_symbols = -(-min_bits // bps)
     bits_counted = total_symbols * bps
     if not draw_any:
@@ -255,10 +254,10 @@ def run_point(
     errors = done = 0
     while done < total_symbols:
         n_sym = min(CHUNK_SYMBOLS, total_symbols - done)
-        counts = _symbol_states(gen, n_sym, table)
+        counts = _symbol_states(gen, n_sym, bank)
         out = (buffer[0, :n_sym] if draw_means else None, buffer[1, :n_sym])
         mean_dev, var_hat = compute_moments(
-            gen, counts.sum(axis=1), n, sigma_w, table.variances, out)
+            gen, counts.sum(axis=1), n, bank.sigma_w, bank.variances, out)
         errors += _detect_bits(counts, mean_dev, var_hat, mean_th, var_th)
         done += n_sym
     low, high = wilson_interval(errors, bits_counted)

@@ -1,11 +1,11 @@
-"""Noise modems: scheme bit layouts, level tables and detector thresholds.
+"""Noise modems: scheme bit layouts and threshold banks.
 
 Information bits select the mean and variance of a Gaussian state; a
 symbol is a block of independent samples drawn from that state, and the
 detector maps the block's sample mean and variance back to bits.  Each
-scheme's bit layout lives on the Scheme, its states and midpoint
-thresholds in one table (scheme_table), and the thresholds in use in a
-threshold_bank, which harness.run_point runs.
+scheme's bit layout lives on the Scheme, and its receiver (level sets,
+the thresholds in use and the channel noise they were set for) in one
+ThresholdBank, built by threshold_bank and run by harness.run_point.
 """
 
 from __future__ import annotations
@@ -81,19 +81,67 @@ class NoiseSource:
         return self._gen
 
 
-@dataclass(frozen=True)
-class SchemeTable:
-    """A scheme's level sets and its midpoint detector thresholds.
+class ThresholdMode(Enum):
+    """Whether variance thresholds compensate for the channel noise floor."""
 
-    means and variances are ascending and indexed by level index (see
-    Scheme.layout for the symbol bits that form each index), and the
-    thresholds are the midpoints between adjacent levels.
+    MIDPOINT = "paper"
+    NOISE_ADJUSTED = "noise-adjusted"
+
+
+@dataclass(frozen=True)
+class ThresholdBank:
+    """The receiver of one cell: a scheme's level sets, the detector
+    thresholds in use, and sigma_w (V), the noise the thresholds were set
+    for and the noise harness.run_point adds to every sample.
+
+    means and variances are indexed by level index (see Scheme.layout for
+    the symbol bits that form each index).  threshold_bank builds a bank
+    from subchannels; one built by hand is checked the same way:
+    - sigma_w passes ChannelConfig's checks;
+    - the states, len(means) * len(variances), are 2^b for some b >= 1, so
+      that uniform random bits select them: b is the bits per symbol
+      harness.run_point counts;
+    - each level set is finite and strictly ascending, and the variances
+      are > 0;
+    - each threshold tuple fits its level set: one threshold between each
+      two adjacent levels, all finite and non-decreasing, and the variance
+      thresholds > 0.
+    Levels out of order or coincident raise DegenerateLevelsError (midpoint
+    detection is meaningless there), any other misfit ConfigError.
+    Noise-adjusted thresholds may tie where sigma_w^2 swamps the gap between
+    two midpoints.
     """
 
     means: tuple[float, ...]
     variances: tuple[float, ...]
     mean_thresholds: tuple[float, ...]
-    var_thresholds: tuple[float, ...]
+    effective_var_thresholds: tuple[float, ...]
+    sigma_w: float
+
+    def __post_init__(self):
+        ChannelConfig(self.sigma_w)  # ConfigError unless a valid channel noise level
+        states = len(self.means) * len(self.variances)
+        if states < 2 or states & (states - 1):
+            raise ConfigError(f"{len(self.means)} mean x {len(self.variances)} "
+                              f"variance levels make {states} states, not 2^b for b >= 1")
+        for label, levels, name, low in (
+                ("mean", self.means, "mean_thresholds", -math.inf),
+                ("variance", self.variances, "effective_var_thresholds", 0.0)):
+            bound = "finite" if low < 0.0 else "finite and > 0"
+            if not all(low < x < math.inf for x in levels):
+                raise ConfigError(f"{label} levels must be {bound}, got {levels!r}")
+            ordered = sorted(levels)
+            for a, b in zip(ordered, ordered[1:]):
+                if a == b:
+                    raise DegenerateLevelsError(f"coincident composite {label} levels at {a!r}")
+            if ordered != list(levels):
+                raise DegenerateLevelsError(f"composite {label}s out of level order: {levels!r}")
+            thresholds = getattr(self, name)
+            if (len(thresholds) != len(levels) - 1
+                    or not all(low < t < math.inf for t in thresholds)
+                    or any(b < a for a, b in zip(thresholds, thresholds[1:]))):
+                raise ConfigError(f"{name} must be {len(levels) - 1} non-decreasing thresholds, "
+                                  f"each {bound}, for {len(levels)} levels, got {thresholds!r}")
 
 
 def _levels(pairs) -> tuple[float, ...]:
@@ -110,91 +158,6 @@ def _midpoints(levels) -> tuple[float, ...]:
 
 
 @lru_cache(maxsize=256)
-def scheme_table(
-    scheme: Scheme,
-    sub0: SubchannelParams,
-    sub1: SubchannelParams | None = None,
-) -> SchemeTable:
-    """Build a scheme's table from its subchannels (see Scheme.layout).
-
-    Each level index sums the first len(bits) of (sub0, sub1): the
-    composite both, GQNM sub0 alone, and zero-mean KLJN sub0's variances.
-    Raises ValueError if the layout needs a subchannel that is missing, and
-    DegenerateLevelsError if two levels coincide or a level set does not
-    ascend in index order (either way midpoint detection is meaningless).
-    The inputs and the table are frozen, so equal arguments share one table.
-    """
-    mean_bits, var_bits = scheme.layout
-    subs = (sub0, sub1)[:max(len(mean_bits), len(var_bits))]
-    if any(sub is None for sub in subs):
-        raise ValueError(f"{scheme.value} needs {len(subs)} subchannels")
-    means = _levels([(s.m_L, s.m_H) for s in subs[:len(mean_bits)]])
-    variances = _levels([(s.var_0, s.var_1) for s in subs[:len(var_bits)]])
-    for label, levels in (("mean", means), ("variance", variances)):
-        ordered = sorted(levels)
-        for a, b in zip(ordered, ordered[1:]):
-            if a == b:
-                raise DegenerateLevelsError(f"coincident composite {label} levels at {a!r}")
-        if any(b <= a for a, b in zip(levels, levels[1:])):
-            raise DegenerateLevelsError(f"composite {label}s out of level order: {levels!r}")
-    return SchemeTable(means, variances, _midpoints(means), _midpoints(variances))
-
-
-def select_state(
-    bits: SymbolBits,
-    sub0: SubchannelParams,
-    sub1: SubchannelParams | None = None,
-) -> tuple[float, float]:
-    """Map a symbol's bits to the (mean, variance) of its Gaussian state."""
-    table = scheme_table(bits.scheme, sub0, sub1)
-    mean_index, var_index = (sum(bits.bits[p] << k for k, p in enumerate(positions))
-                             for positions in bits.scheme.layout)
-    return table.means[mean_index], table.variances[var_index]
-
-
-class ThresholdMode(Enum):
-    """Whether variance thresholds compensate for the channel noise floor."""
-
-    MIDPOINT = "paper"
-    NOISE_ADJUSTED = "noise-adjusted"
-
-
-@dataclass(frozen=True)
-class ThresholdBank:
-    """The detector thresholds in use for one scheme at one channel noise level,
-    and that level: sigma_w (V), the noise the thresholds were set for and
-    the noise harness.run_point adds to every sample.
-
-    Build it with threshold_bank, the one place the noise adjustment is made.
-    The table's states, len(means) * len(variances), must be 2^b for some
-    b >= 1, so that uniform random bits select them: b is the bits per
-    symbol harness.run_point counts.  Each threshold tuple must fit its
-    level set: one threshold between each two adjacent levels, all finite
-    and non-decreasing.  Either misfit raises ConfigError.  Noise-adjusted
-    thresholds may tie where sigma_w^2 swamps the gap between two midpoints.
-    """
-
-    table: SchemeTable
-    mean_thresholds: tuple[float, ...]
-    effective_var_thresholds: tuple[float, ...]
-    sigma_w: float
-
-    def __post_init__(self):
-        ChannelConfig(self.sigma_w)  # ConfigError unless a valid channel noise level
-        states = len(self.table.means) * len(self.table.variances)
-        if states < 2 or states & (states - 1):
-            raise ConfigError(f"{len(self.table.means)} mean x {len(self.table.variances)} "
-                              f"variance levels make {states} states, not 2^b for b >= 1")
-        for name, levels in (("mean_thresholds", self.table.means),
-                             ("effective_var_thresholds", self.table.variances)):
-            thresholds = getattr(self, name)
-            if (len(thresholds) != len(levels) - 1
-                    or not all(map(math.isfinite, thresholds))
-                    or any(b < a for a, b in zip(thresholds, thresholds[1:]))):
-                raise ConfigError(f"{name} must be {len(levels) - 1} finite non-decreasing "
-                                  f"thresholds for {len(levels)} levels, got {thresholds!r}")
-
-
 def threshold_bank(
     scheme: Scheme,
     sub0: SubchannelParams,
@@ -203,15 +166,35 @@ def threshold_bank(
     mode: ThresholdMode = ThresholdMode.NOISE_ADJUSTED,
     sigma_w: float = 0.0,
 ) -> ThresholdBank:
-    """Build the detector thresholds for a scheme from subchannel parameters.
+    """Build a scheme's bank from its subchannels (see Scheme.layout).
 
-    The thresholds are the scheme table's midpoints.  In noise-adjusted mode
-    the variance thresholds are shifted up by sigma_w^2 (the mean is
-    unaffected by zero-mean channel noise).  The bank carries sigma_w,
-    which must pass ChannelConfig's checks (ConfigError otherwise).
+    Each level index sums the first len(bits) of (sub0, sub1): the
+    composite both, GQNM sub0 alone, and zero-mean KLJN sub0's variances.
+    The thresholds are the midpoints between adjacent levels; in
+    noise-adjusted mode the variance thresholds are shifted up by
+    sigma_w^2 (the mean is unaffected by zero-mean channel noise).  Raises
+    ValueError if the layout needs a subchannel that is missing, and what
+    ThresholdBank raises for levels, thresholds or a sigma_w it refuses.
+    The inputs and the bank are frozen, so equal arguments share one bank.
     """
-    table = scheme_table(scheme, sub0, sub1)
-    var_thresholds, shift = table.var_thresholds, sigma_w * sigma_w
-    if mode is ThresholdMode.NOISE_ADJUSTED and shift > 0.0:
-        var_thresholds = tuple(t + shift for t in var_thresholds)
-    return ThresholdBank(table, table.mean_thresholds, var_thresholds, sigma_w)
+    mean_bits, var_bits = scheme.layout
+    subs = (sub0, sub1)[:max(len(mean_bits), len(var_bits))]
+    if any(sub is None for sub in subs):
+        raise ValueError(f"{scheme.value} needs {len(subs)} subchannels")
+    means = _levels([(s.m_L, s.m_H) for s in subs[:len(mean_bits)]])
+    variances = _levels([(s.var_0, s.var_1) for s in subs[:len(var_bits)]])
+    shift = sigma_w * sigma_w if mode is ThresholdMode.NOISE_ADJUSTED else 0.0
+    return ThresholdBank(means, variances, _midpoints(means),
+                         tuple(t + shift for t in _midpoints(variances)), sigma_w)
+
+
+def select_state(
+    bits: SymbolBits,
+    sub0: SubchannelParams,
+    sub1: SubchannelParams | None = None,
+) -> tuple[float, float]:
+    """Map a symbol's bits to the (mean, variance) of its Gaussian state."""
+    bank = threshold_bank(bits.scheme, sub0, sub1)
+    mean_index, var_index = (sum(bits.bits[p] << k for k, p in enumerate(positions))
+                             for positions in bits.scheme.layout)
+    return bank.means[mean_index], bank.variances[var_index]

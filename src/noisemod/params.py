@@ -9,8 +9,8 @@ apply the scaling rules
     m_H1 = alpha * m_L1        var_11 = gamma * var_10
 
 Either way the config holds only the two subchannels, and everything
-downstream (level sets, detector thresholds; see modem.scheme_table) is
-computed from them.
+downstream (level sets, detector thresholds; see modem.threshold_bank)
+is computed from them.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Chi-square moments, estimator spreads, and distinguishability checks."""
 
-import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from noisemod import (
     DegenerateLevelsError,
     Scheme,
     SchemeConfig,
-    SchemeTable,
     SpreadFormula,
     SubchannelParams,
     build_report,
@@ -20,10 +19,13 @@ from noisemod import (
     check_variance_condition,
     chi_square_moment,
     derive_subchannels,
+    load_config,
     sample_variance_spread,
-    scheme_table,
+    threshold_bank,
 )
 from noisemod.harness import compute_moments
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestChiSquareMoment:
@@ -104,48 +106,42 @@ class TestSampleVarianceSpread:
         assert mc == pytest.approx(sample_variance_spread(sigma2, n), rel=3e-2)
 
 
-def hand_table(means, variances, mean_thresholds, var_thresholds):
-    """A composite table with hand-built (possibly degenerate) level sets."""
-    return SchemeTable(means, variances, mean_thresholds, var_thresholds)
-
-
 @pytest.fixture
-def canonical_constants():
-    return scheme_table(Scheme.CGQNM, *derive_subchannels(DEFAULT_SCHEME))
+def canonical_bank():
+    return threshold_bank(Scheme.CGQNM, *derive_subchannels(DEFAULT_SCHEME))
 
 
 class TestMeanCondition:
-    def test_reference_margins(self, canonical_constants):
-        res = check_mean_condition(canonical_constants, DEFAULT_SCHEME)
+    def test_reference_margins(self, canonical_bank):
+        res = check_mean_condition(canonical_bank.means, canonical_bank.variances, DEFAULT_SCHEME)
         assert res.lhs_gap == pytest.approx(1.9e-2, rel=1e-12)
         assert res.lhs_literal == pytest.approx(2e-2, rel=1e-15)
-        assert res.rhs == 6.0 * math.sqrt(canonical_constants.variances[-1])
+        assert res.rhs == 6.0 * math.sqrt(canonical_bank.variances[-1])
         assert res.rhs == pytest.approx(6.148e-4, rel=1e-3)
         assert res.ratio == pytest.approx(30.90, abs=0.05)
         assert res.satisfied
 
     def test_all_equal_means_unsatisfied(self):
-        constants = hand_table((1.0, 1.0, 1.0, 1.0), (1.0, 2.0, 3.0, 4.0),
-                               (1.0, 1.0, 1.0), (1.5, 2.5, 3.5))
-        res = check_mean_condition(constants, DEFAULT_SCHEME)
+        # hand-built level sets that no bank accepts still reach the check
+        res = check_mean_condition((1.0, 1.0, 1.0, 1.0), (1.0, 2.0, 3.0, 4.0), DEFAULT_SCHEME)
         assert res.ratio == 0.0
         assert not res.satisfied
 
     def test_vanishing_spread_always_satisfied(self):
-        constants = hand_table((0.0, 1.0, 2.0, 3.0), (0.0, 0.0, 0.0, 0.0),
-                               (0.5, 1.5, 2.5), (0.0, 0.0, 0.0))
-        res = check_mean_condition(constants, DEFAULT_SCHEME)
+        res = check_mean_condition((0.0, 1.0, 2.0, 3.0), (0.0, 0.0, 0.0, 0.0), DEFAULT_SCHEME)
         assert res.ratio == math.inf
         assert res.satisfied
 
-    def test_margin_factor(self, canonical_constants):
-        assert not check_mean_condition(canonical_constants, DEFAULT_SCHEME, 100.0).satisfied
+    def test_margin_factor(self, canonical_bank):
+        bank = canonical_bank
+        assert not check_mean_condition(bank.means, bank.variances, DEFAULT_SCHEME,
+                                        100.0).satisfied
 
 
 class TestVarianceCondition:
-    def test_reference_margins_at_n100(self, canonical_constants):
-        pairs = check_variance_condition(canonical_constants, 100)
-        v = canonical_constants.variances
+    def test_reference_margins_at_n100(self, canonical_bank):
+        pairs = check_variance_condition(canonical_bank.variances, 100)
+        v = canonical_bank.variances
         first = pairs[0]
         assert first.gap == pytest.approx(4e-10, rel=1e-9)
         expected_spread = 3.0 * (
@@ -161,46 +157,38 @@ class TestVarianceCondition:
         assert pairs[1].satisfied
 
     def test_zero_gap_unsatisfied(self):
-        constants = hand_table((0.0, 1.0, 2.0, 3.0), (1.0, 1.0, 2.0, 3.0),
-                               (0.5, 1.5, 2.5), (1.0, 1.5, 2.5))
-        pairs = check_variance_condition(constants, 100)
+        pairs = check_variance_condition((1.0, 1.0, 2.0, 3.0), 100)
         assert pairs[0].ratio == 0.0
         assert not pairs[0].satisfied
 
-    def test_spread_shrinks_with_n(self, canonical_constants):
-        loose = check_variance_condition(canonical_constants, 100)
-        tight = check_variance_condition(canonical_constants, 1_000_000)
+    def test_spread_shrinks_with_n(self, canonical_bank):
+        loose = check_variance_condition(canonical_bank.variances, 100)
+        tight = check_variance_condition(canonical_bank.variances, 1_000_000)
         for a, b in zip(tight, loose):
             assert a.spread < b.spread
         assert all(p.satisfied for p in tight)
 
-    def test_monotone_in_n(self, canonical_constants):
+    def test_monotone_in_n(self, canonical_bank):
         grid = [10, 30, 100, 300, 1000, 10_000, 100_000]
         previous = None
         for n in grid:
-            pairs = check_variance_condition(canonical_constants, n)
+            pairs = check_variance_condition(canonical_bank.variances, n)
             ratios = [p.ratio for p in pairs]
             if previous is not None:
                 assert all(r >= q for r, q in zip(ratios, previous))
             previous = ratios
 
-    def test_scale_invariance(self, canonical_constants):
-        base = check_variance_condition(canonical_constants, 100)
-        c = 1e6
-        scaled_constants = dataclasses.replace(
-            canonical_constants,
-            variances=tuple(v * c for v in canonical_constants.variances),
-            var_thresholds=tuple(t * c for t in canonical_constants.var_thresholds),
-        )
-        scaled = check_variance_condition(scaled_constants, 100)
+    def test_scale_invariance(self, canonical_bank):
+        base = check_variance_condition(canonical_bank.variances, 100)
+        scaled = check_variance_condition(tuple(v * 1e6 for v in canonical_bank.variances), 100)
         np.testing.assert_allclose(
             [p.ratio for p in scaled], [p.ratio for p in base], rtol=1e-12
         )
 
 
 class TestReport:
-    def test_canonical_report(self, canonical_constants):
-        report = build_report(canonical_constants, DEFAULT_SCHEME, 100)
+    def test_canonical_report(self, canonical_bank):
+        report = build_report(canonical_bank, DEFAULT_SCHEME, 100)
         assert report.mean.satisfied
         assert not all(p.satisfied for p in report.pairs)  # surfaced, not resolved
         assert report.mean.ratio == pytest.approx(30.90, abs=0.05)
@@ -208,28 +196,35 @@ class TestReport:
         assert not report.satisfied
         assert report.warnings == ()
 
-    def test_fourth_moment_mode_flags_warning(self, canonical_constants):
-        report = build_report(
-            canonical_constants, DEFAULT_SCHEME, 100, SpreadFormula.FOURTH_MOMENT
-        )
+    def test_fourth_moment_mode_flags_warning(self, canonical_bank):
+        report = build_report(canonical_bank, DEFAULT_SCHEME, 100, SpreadFormula.FOURTH_MOMENT)
         assert report.formula_mode is SpreadFormula.FOURTH_MOMENT
         assert any("verbatim" in w for w in report.warnings)
 
     def test_negative_spread_reported_as_nan(self):
         cfg = SchemeConfig.derived(m_L0=1.0, alpha=20.0, beta=5.0, var_00=1.0, eta=5.0, gamma=20.0)
-        table = scheme_table(Scheme.CGQNM, cfg.sub0, cfg.sub1)
-        report = build_report(table, cfg, 100, SpreadFormula.FOURTH_MOMENT)
+        bank = threshold_bank(Scheme.CGQNM, cfg.sub0, cfg.sub1)
+        report = build_report(bank, cfg, 100, SpreadFormula.FOURTH_MOMENT)
         assert any(math.isnan(p.spread) for p in report.pairs)
         assert not all(p.satisfied for p in report.pairs)
         assert any("undefined" in w for w in report.warnings)
 
-    @pytest.mark.parametrize("margin_factor", [math.nan, math.inf, 0.0, -1.0])
-    def test_bad_margin_factor_rejected(self, canonical_constants, margin_factor):
-        with pytest.raises(ValueError, match="margin factor must be finite and > 0"):
-            build_report(canonical_constants, DEFAULT_SCHEME, 100, margin_factor=margin_factor)
+    def test_margins_judged_at_received_levels(self, canonical_subs):
+        # the bank's channel noise adds sigma_w^2 to every variance level
+        bank = threshold_bank(Scheme.CGQNM, *canonical_subs, sigma_w=2e-5)
+        received = [v + 2e-5 * 2e-5 for v in bank.variances]
+        report = build_report(bank, DEFAULT_SCHEME, 100)
+        assert [(p.level_low, p.level_high) for p in report.pairs] == list(
+            zip(received, received[1:]))
+        assert report.mean.rhs == 6.0 * math.sqrt(received[-1])
 
-    def test_to_dict_round_trips_enums(self, canonical_constants):
-        d = build_report(canonical_constants, DEFAULT_SCHEME, 100).to_dict()
+    @pytest.mark.parametrize("margin_factor", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_margin_factor_rejected(self, canonical_bank, margin_factor):
+        with pytest.raises(ValueError, match="margin factor must be finite and > 0"):
+            build_report(canonical_bank, DEFAULT_SCHEME, 100, margin_factor=margin_factor)
+
+    def test_to_dict_round_trips_enums(self, canonical_bank):
+        d = build_report(canonical_bank, DEFAULT_SCHEME, 100).to_dict()
         assert d["formula_mode"] == "corrected"
         assert isinstance(d["var_ratios"], list)
 
@@ -250,21 +245,55 @@ class TestReportProperty:
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(config=explicit_configs(), n=st.integers(2, 10_000),
            formula=st.sampled_from(list(SpreadFormula)), margin=st.floats(0.1, 10.0))
-    def test_report_follows_its_table(self, config, n, formula, margin):
+    def test_report_follows_its_bank(self, config, n, formula, margin):
         """One variance pair per adjacent level pair, a mean check exactly when
-        the table has mean bits, and satisfied as the conjunction of the parts."""
+        the bank has mean bits, and satisfied as the conjunction of the parts."""
         for scheme in Scheme:
             try:
-                table = scheme_table(scheme, config.sub0, config.sub1)
+                bank = threshold_bank(scheme, config.sub0, config.sub1)
             except DegenerateLevelsError:
                 continue
-            report = build_report(table, config, n, formula, margin)
-            v = table.variances
+            report = build_report(bank, config, n, formula, margin)
+            v = bank.variances
             assert len(report.pairs) == len(v) - 1
             assert [p.gap for p in report.pairs] == [b - a for a, b in zip(v, v[1:])]
             assert [(p.level_low, p.level_high) for p in report.pairs] == list(zip(v, v[1:]))
-            assert (report.mean is None) == (len(table.means) == 1)
+            assert (report.mean is None) == (len(bank.means) == 1)
             parts = [p.satisfied for p in report.pairs]
             if report.mean is not None:
                 parts.append(report.mean.satisfied)
             assert report.satisfied == all(parts)
+
+
+PHI = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+def _cgqnm_bank(config):
+    """The config's composite bank, or None where its levels do not ascend."""
+    try:
+        return threshold_bank(Scheme.CGQNM, config.sub0, config.sub1)
+    except DegenerateLevelsError:
+        return None
+
+
+def _smallest_variance_ratio(bank):
+    v = bank.variances
+    return min(b / a for a, b in zip(v, v[1:]))
+
+
+class TestVarianceRatioCeiling:
+    """README's ceiling: the composite's adjacent variance levels a+c < b+c <
+    a+d < b+d can never all sit a ratio of phi or more apart."""
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(config=explicit_configs().filter(lambda config: _cgqnm_bank(config) is not None))
+    def test_below_the_golden_ratio(self, config):
+        assert _smallest_variance_ratio(_cgqnm_bank(config)) < PHI
+
+    @pytest.mark.parametrize("name, ratio", [("canonical", 105 / 101),
+                                             ("paper_literal", 1.0099)])
+    def test_shipped_configs(self, name, ratio):
+        config = load_config(REPO_ROOT / "configs" / f"{name}.json")[0]
+        bank = threshold_bank(Scheme.CGQNM, *derive_subchannels(config))
+        assert _smallest_variance_ratio(bank) == pytest.approx(ratio, abs=5e-5)
+        assert _smallest_variance_ratio(bank) == bank.variances[3] / bank.variances[2]

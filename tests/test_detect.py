@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -12,11 +13,9 @@ from noisemod import (
     DegenerateLevelsError,
     NoiseSource,
     Scheme,
-    SchemeTable,
     SymbolBits,
     ThresholdBank,
     ThresholdMode,
-    scheme_table,
     select_state,
     threshold_bank,
 )
@@ -101,8 +100,7 @@ class TestBankNoise:
             threshold_bank(Scheme.KLJN, canonical_subs[0], sigma_w=sigma_w)
         bank = threshold_bank(Scheme.KLJN, canonical_subs[0])
         with pytest.raises(ConfigError, match="sigma_w"):  # a bank built by hand too
-            ThresholdBank(bank.table, bank.mean_thresholds, bank.effective_var_thresholds,
-                          sigma_w)
+            dataclasses.replace(bank, sigma_w=sigma_w)
 
     @pytest.mark.parametrize("sigma_w, thresholds", [(0.0, (3e-10,)),
                                                      (2e-5, (7.000000000000001e-10,))])
@@ -119,7 +117,7 @@ class TestBankNoise:
     ])
     def test_thresholds_must_fit_the_table(self, canonical_subs, scheme, name, bad):
         # the engine walks each level's adjacent thresholds by position, so a
-        # hand-built bank whose thresholds do not fit its table is refused
+        # hand-built bank whose thresholds do not fit its levels is refused
         # (each of these once ran and returned a wrong BEP, or an IndexError)
         bank = threshold_bank(scheme, *canonical_subs, sigma_w=2e-5)
         with pytest.raises(ConfigError, match=name):
@@ -136,9 +134,26 @@ class TestBankNoise:
         # reported a BEP of 0.648
         mids = [tuple((a + b) / 2 for a, b in zip(levels, levels[1:]))
                 for levels in (means, variances)]
-        table = SchemeTable(means, variances, *mids)
         with pytest.raises(ConfigError, match="not 2\\^b"):
-            ThresholdBank(table, table.mean_thresholds, table.var_thresholds, 0.0)
+            ThresholdBank(means, variances, *mids, 0.0)
+
+    @pytest.mark.parametrize("error, match, means, variances, var_thresholds", [
+        (DegenerateLevelsError, "variances out of level order", (0.0,), (2.0, 1.0), (1.5,)),
+        (ConfigError, "mean levels", (0.0, math.nan), (1.0, 2.0), (1.5,)),
+        (ConfigError, "variance levels", (0.0,), (0.0, 1.0), (0.5,)),
+        (ConfigError, "variance levels", (0.0,), (-1.0, 1.0), (0.5,)),
+        (ConfigError, "variance levels", (0.0,), (1.0, math.inf), (2.0,)),
+        (ConfigError, "effective_var_thresholds", (0.0,), (1.0, 2.0), (0.0,)),
+    ], ids=["descending-variances", "nan-mean", "zero-variance", "negative-variance",
+            "infinite-variance", "zero-variance-threshold"])
+    def test_bank_checks_its_levels(self, error, match, means, variances, var_thresholds):
+        # before the bank checked its own levels, run_point(bank, 8, 20000,
+        # NoiseSource(1, 2)) ran on each: the first two gave a wrong BEP (0.717
+        # and 0.421), the zero variance level a ZeroDivisionError, the negative
+        # one a BEP of 0.108, and the last two a bare math domain error
+        mean_thresholds = ((means[0] + means[1]) / 2,) if len(means) > 1 else ()
+        with pytest.raises(error, match=match):
+            ThresholdBank(means, variances, mean_thresholds, var_thresholds, 0.0)
 
     @pytest.mark.parametrize("sigma_w", [0.0, 2e-5, 1e4])
     def test_tied_noise_adjusted_thresholds_kept(self, canonical_subs, sigma_w):
@@ -210,19 +225,16 @@ class TestThresholdProperty:
     @given(config=explicit_configs(), sigma_w=st.floats(0.0, 1e-3),
            mode=st.sampled_from(list(ThresholdMode)))
     def test_thresholds_are_the_midpoints_plus_noise(self, config, sigma_w, mode):
-        """Mean thresholds are the table's midpoints; noise-adjusted variance
-        thresholds are the midpoints plus sigma_w^2 (when that is > 0)."""
+        """Mean thresholds are the midpoints of the bank's levels;
+        noise-adjusted variance thresholds are the midpoints plus sigma_w^2."""
+        mids = lambda xs: tuple((a + b) / 2.0 for a, b in zip(xs, xs[1:]))  # noqa: E731
         for scheme in Scheme:
             try:
-                table = scheme_table(scheme, config.sub0, config.sub1)
+                bank = threshold_bank(scheme, config.sub0, config.sub1,
+                                      mode=mode, sigma_w=sigma_w)
             except DegenerateLevelsError:
                 continue
-            bank = threshold_bank(scheme, config.sub0, config.sub1, mode=mode, sigma_w=sigma_w)
-            assert bank.table == table
-            assert bank.mean_thresholds == table.mean_thresholds
-            shift = sigma_w * sigma_w
-            if mode is ThresholdMode.NOISE_ADJUSTED and shift > 0.0:
-                expected = tuple(t + shift for t in table.var_thresholds)
-            else:
-                expected = table.var_thresholds
-            assert bank.effective_var_thresholds == expected
+            assert bank.sigma_w == sigma_w
+            assert bank.mean_thresholds == mids(bank.means)
+            shift = sigma_w * sigma_w if mode is ThresholdMode.NOISE_ADJUSTED else 0.0
+            assert bank.effective_var_thresholds == tuple(t + shift for t in mids(bank.variances))

@@ -200,7 +200,7 @@ class TestRunPoint:
     @pytest.mark.parametrize("sigma_w", [0.0, 2e-5])
     @pytest.mark.parametrize("n", [2, 7])
     def test_moments_match_per_symbol_formula(self, n, sigma_w):
-        # one level per symbol: the level tables must give the very bits of
+        # one level per symbol: the level sets must give the very bits of
         # the formula applied to each symbol's own variance
         k = 1000
         variances = np.linspace(1e-10, 1e-8, k)
@@ -235,7 +235,7 @@ class TestRunPoint:
 
         subs = derive_subchannels(load_config(config_path)[0])
         for scheme in Scheme:
-            variances = threshold_bank(scheme, *subs).table.variances
+            variances = threshold_bank(scheme, *subs).variances
             k = len(variances)
             dev, var_hat = compute_moments(Ones(), np.ones(k, np.intp), n, sigma_w, variances,
                                            np.empty((2, k)))
@@ -251,8 +251,8 @@ class TestRunPoint:
         configs = ((DEFAULT_SCHEME, False), (NEAR_THRESHOLD, True))
         for (config, draws_means), scheme in itertools.product(configs, Scheme):
             bank = threshold_bank(scheme, *derive_subchannels(config), sigma_w=sigma_w)
-            table, var_th = bank.table, bank.effective_var_thresholds
-            n_mean, n_var = len(table.means), len(table.variances)
+            var_th = bank.effective_var_thresholds
+            n_mean, n_var = len(bank.means), len(bank.variances)
             gen = NoiseSource(77, 5).generator
             counts = gen.multinomial(n_sym, [1.0 / (n_mean * n_var)] * (n_mean * n_var))
             states = [(s % n_mean, s // n_mean) for s, c in enumerate(counts) for _ in range(c)]
@@ -260,11 +260,11 @@ class TestRunPoint:
             out = (np.empty(n_sym) if drawn else None, np.empty(n_sym))
             mean_dev, var_hat = compute_moments(
                 gen, counts.reshape(n_var, n_mean).sum(axis=1), n, sigma_w,
-                table.variances, out,
+                bank.variances, out,
             )
             manual_errors = 0
             for k, (i, j) in enumerate(states):
-                mean_hat = table.means[i] + (mean_dev[k] if drawn else 0.0)
+                mean_hat = bank.means[i] + (mean_dev[k] if drawn else 0.0)
                 got = detect(scheme, bank, moments=(mean_hat, var_hat[k]))
                 if scheme is Scheme.GQNM:
                     assert got == (bisect_right(bank.mean_thresholds, mean_hat),
@@ -333,10 +333,9 @@ class TestDetectionProperty:
         the reference detector on mean + deviation."""
         scheme, config, sigma_w, mode, u, w = case
         bank = threshold_bank(scheme, *derive_subchannels(config), mode=mode, sigma_w=sigma_w)
-        table = bank.table
-        means, n_mean, n_var = table.means, len(table.means), len(table.variances)
+        means, n_mean, n_var = bank.means, len(bank.means), len(bank.variances)
         span = max(means[-1] - means[0], abs(means[0]))
-        top = 2.0 * (table.variances[-1] + sigma_w * sigma_w)
+        top = 2.0 * (bank.variances[-1] + sigma_w * sigma_w)
         dev = np.array([1.5 * span * x for x in u[:n_mean * n_var]])
         var_hat = np.array([top * abs(x) for x in w[:n_mean * n_var]])
         want = 0
@@ -367,11 +366,11 @@ class TestMeanErrorBound:
                 bank = threshold_bank(scheme, *derive_subchannels(config), sigma_w=sigma_w)
             except DegenerateLevelsError:
                 continue
-            mean_th = [tuple(t - m for t in bank.mean_thresholds) for m in bank.table.means]
-            s2n = [(v + sigma_w * sigma_w) / n for v in bank.table.variances]
+            mean_th = [tuple(t - m for t in bank.mean_thresholds) for m in bank.means]
+            s2n = [(v + sigma_w * sigma_w) / n for v in bank.variances]
             if _must_draw(bank, n)[0]:
                 continue  # the cell draws normals
-            bounds = [_log_edge_bounds(bank.table.means, bank.mean_thresholds,
+            bounds = [_log_edge_bounds(bank.means, bank.mean_thresholds,
                                        lambda m, t, _: _log_normal_tail(t - m, var))
                       for var in s2n]
             for row, var in zip(bounds, s2n):
@@ -386,7 +385,7 @@ class TestMeanErrorBound:
 def _var_bounds(scheme, config, n, sigma_w, mode=ThresholdMode.NOISE_ADJUSTED):
     """run_point's variance thresholds, s2n and log bounds for one cell."""
     bank = threshold_bank(scheme, *derive_subchannels(config), mode=mode, sigma_w=sigma_w)
-    s2n = [(v + sigma_w * sigma_w) / n for v in bank.table.variances]
+    s2n = [(v + sigma_w * sigma_w) / n for v in bank.variances]
     var_th = bank.effective_var_thresholds
     bounds = _log_edge_bounds(s2n, var_th, lambda var, t, upper:
                               _log_chi2_tail(t / (var * (n - 1)), n - 1, upper))
@@ -507,7 +506,7 @@ README_BLOCKS = _readme_python_blocks()
 
 class TestReadmeExamples:
     def test_blocks_are_found(self):
-        # "Library use", the scheme table and the block-level pieces
+        # "Library use", the hand-built bank and the block-level pieces
         assert len(README_BLOCKS) == 3
 
     @pytest.mark.parametrize("fence, source", README_BLOCKS,
@@ -576,9 +575,9 @@ class TestSamplerAgreement:
         # whose sum over chunks has mean chunks * (L - 1) under the multinomial
         # (equal shares would give 0, a biased draw far more)
         chunks, n_sym = 2000, 48
-        table = threshold_bank(scheme, *derive_subchannels(DEFAULT_SCHEME)).table
+        bank = threshold_bank(scheme, *derive_subchannels(DEFAULT_SCHEME))
         gen = NoiseSource(828).generator
-        counts = np.array([_symbol_states(gen, n_sym, table).ravel() for _ in range(chunks)])
+        counts = np.array([_symbol_states(gen, n_sym, bank).ravel() for _ in range(chunks)])
         states = counts.shape[1]
         assert states == 1 << scheme.bits_per_symbol
         assert (counts.sum(axis=1) == n_sym).all()

@@ -1,4 +1,4 @@
-"""Scheme layouts, state selection and level-table tests."""
+"""Scheme layouts, state selection and bank-building tests."""
 
 import itertools
 import math
@@ -12,7 +12,7 @@ from noisemod import (
     DegenerateLevelsError,
     Scheme,
     SymbolBits,
-    scheme_table,
+    ThresholdMode,
     select_state,
     threshold_bank,
 )
@@ -79,7 +79,7 @@ class TestSelectState:
         assert len(seen) == 16
 
 
-class TestSchemeTable:
+class TestSchemeBank:
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_bit_positions_are_a_permutation(self, scheme):
         assert sorted(sum(scheme.layout, ())) == list(range(scheme.bits_per_symbol))
@@ -102,33 +102,35 @@ class TestSchemeTable:
 
     def test_missing_subchannel_names_the_scheme(self, canonical_subs):
         with pytest.raises(ValueError, match="cgqnm needs 2 subchannels"):
-            scheme_table(Scheme.CGQNM, canonical_subs[0])
+            threshold_bank(Scheme.CGQNM, canonical_subs[0])
         # one subchannel is all GQNM and KLJN read
-        assert scheme_table(Scheme.GQNM, canonical_subs[0]) == scheme_table(
+        assert threshold_bank(Scheme.GQNM, canonical_subs[0]) == threshold_bank(
             Scheme.GQNM, *canonical_subs)
 
-    def test_one_table_per_key(self, canonical_subs):
-        # equal (scheme, sub0, sub1) share one frozen table, so the per-symbol
-        # path does not rebuild it for each symbol
+    def test_one_bank_per_key(self, canonical_subs):
+        # equal (scheme, sub0, sub1, mode, sigma_w) share one frozen bank, so
+        # neither a sweep cell nor the per-symbol path rebuilds it
         sub0, sub1 = canonical_subs
-        scheme_table.cache_clear()
+        threshold_bank.cache_clear()
         for pattern in itertools.product((0, 1), repeat=4):
             # equal copies, so the key is compared by value
             select_state(SymbolBits(Scheme.CGQNM, pattern), replace(sub0), replace(sub1))
-        assert scheme_table.cache_info().misses == 1
-        assert scheme_table(Scheme.CGQNM, sub0, sub1) is scheme_table(Scheme.CGQNM, sub0, sub1)
+        assert threshold_bank.cache_info().misses == 1
+        key = dict(mode=ThresholdMode.MIDPOINT, sigma_w=2e-5)
+        assert threshold_bank(Scheme.CGQNM, sub0, sub1, **key) is threshold_bank(
+            Scheme.CGQNM, replace(sub0), replace(sub1), **key)
+        assert threshold_bank.cache_info().misses == 2
 
     def test_level_counts(self, canonical_subs):
         for scheme, levels in ((Scheme.KLJN, (1, 2)), (Scheme.GQNM, (2, 2)),
                                (Scheme.CGQNM, (4, 4))):
-            table = scheme_table(scheme, *canonical_subs)
-            assert (len(table.means), len(table.variances)) == levels
-            assert len(table.mean_thresholds) == levels[0] - 1
-            assert len(table.var_thresholds) == levels[1] - 1
+            bank = threshold_bank(scheme, *canonical_subs)
+            assert (len(bank.means), len(bank.variances)) == levels
+            assert len(bank.mean_thresholds) == levels[0] - 1
+            assert len(bank.effective_var_thresholds) == levels[1] - 1
             # run_point counts bits from a bank's level counts, the sweep
             # (SweepSpec.n_symbol, _pool_size) from Scheme.bits_per_symbol
-            bank = threshold_bank(scheme, *canonical_subs)
-            states = len(bank.table.means) * len(bank.table.variances)
+            states = len(bank.means) * len(bank.variances)
             assert math.log2(states) == scheme.bits_per_symbol
 
 
@@ -146,11 +148,11 @@ def _index_sums(pairs):
 SUBCHANNELS_SUMMED = {Scheme.KLJN: (0, 1), Scheme.GQNM: (1, 1), Scheme.CGQNM: (2, 2)}
 
 
-class TestSchemeTableProperty:
+class TestSchemeBankProperty:
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(config=explicit_configs())
-    def test_table_built_exactly_for_ordered_levels(self, config):
-        """A table is built exactly when both index-sum level sets strictly
+    def test_bank_built_exactly_for_ordered_levels(self, config):
+        """A bank is built exactly when both index-sum level sets strictly
         ascend in index order, and holds those levels."""
         subs = (config.sub0, config.sub1)
         for scheme, (n_mean, n_var) in SUBCHANNELS_SUMMED.items():
@@ -159,11 +161,11 @@ class TestSchemeTableProperty:
             ordered = all(a < b for levels in (means, variances)
                           for a, b in zip(levels, levels[1:]))
             if ordered:
-                table = scheme_table(scheme, *subs)
-                assert (table.means, table.variances) == (means, variances)
+                bank = threshold_bank(scheme, *subs)
+                assert (bank.means, bank.variances) == (means, variances)
             else:
                 with pytest.raises(DegenerateLevelsError):
-                    scheme_table(scheme, *subs)
+                    threshold_bank(scheme, *subs)
 
 
 class TestPublicNamespace:
@@ -180,6 +182,13 @@ class TestPublicNamespace:
     def test_per_sample_link_is_gone(self, name):
         # the engine is the package's one link model; the per-sample link
         # the tests compare it with lives in tests/reference.py
+        assert name not in noisemod.__all__
+        assert not hasattr(noisemod, name)
+        assert not hasattr(noisemod.modem, name)
+
+    @pytest.mark.parametrize("name", ["SchemeTable", "scheme_table"])
+    def test_level_table_is_gone(self, name):
+        # a ThresholdBank holds the levels too, so no second record describes them
         assert name not in noisemod.__all__
         assert not hasattr(noisemod, name)
         assert not hasattr(noisemod.modem, name)

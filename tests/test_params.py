@@ -1,4 +1,4 @@
-"""Configuration validation and composite level-table tests."""
+"""Configuration validation and composite level-set tests."""
 
 import dataclasses
 import json
@@ -19,7 +19,7 @@ from noisemod import (
     SubchannelParams,
     derive_subchannels,
     load_config,
-    scheme_table,
+    threshold_bank,
 )
 from pathlib import Path
 
@@ -27,7 +27,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def oracle_constants(sub0, sub1):
-    """Independent sum/sort/midpoint reference for the composite scheme table."""
+    """Independent sum/sort/midpoint reference for the composite bank at sigma_w = 0."""
     means = [
         sub0.m_L + sub1.m_L,
         sub0.m_H + sub1.m_L,
@@ -115,41 +115,42 @@ class TestDeriveSubchannels:
 class TestDeriveConstants:
     def test_reference_values_match_oracle_exactly(self, canonical_subs):
         sub0, sub1 = canonical_subs
-        got = scheme_table(Scheme.CGQNM, sub0, sub1)
+        got = threshold_bank(Scheme.CGQNM, sub0, sub1)
         means, variances, mth, vth = oracle_constants(sub0, sub1)
         assert list(got.means) == means
         assert list(got.variances) == variances
         assert list(got.mean_thresholds) == mth
-        assert list(got.var_thresholds) == vth
+        assert list(got.effective_var_thresholds) == vth
 
     def test_reference_values_match_decimal_literals(self, canonical_subs):
-        got = scheme_table(Scheme.CGQNM, *canonical_subs)
+        got = threshold_bank(Scheme.CGQNM, *canonical_subs)
         # decimal parsing differs from the float sums by at most 1 ulp
         np.testing.assert_allclose(got.means, [6e-3, 2.5e-2, 1.01e-1, 1.2e-1], rtol=5e-16)
         np.testing.assert_allclose(got.variances, [2.1e-9, 2.5e-9, 1.01e-8, 1.05e-8], rtol=5e-16)
         np.testing.assert_allclose(got.mean_thresholds, [1.55e-2, 6.3e-2, 1.105e-1], rtol=5e-16)
-        np.testing.assert_allclose(got.var_thresholds, [2.3e-9, 6.3e-9, 1.03e-8], rtol=5e-16)
+        np.testing.assert_allclose(got.effective_var_thresholds, [2.3e-9, 6.3e-9, 1.03e-8],
+                                   rtol=5e-16)
 
     def test_symmetric_subchannels_are_degenerate(self):
         sub = SubchannelParams(1.0, 2.0, 1.0, 2.0)
         with pytest.raises(DegenerateLevelsError, match="mean"):
-            scheme_table(Scheme.CGQNM, sub, sub)
+            threshold_bank(Scheme.CGQNM, sub, sub)
 
     def test_hand_arithmetic(self):
         sub0 = SubchannelParams(0.0, 1.0, 1.0, 2.0)
         sub1 = SubchannelParams(0.0, 2.0, 3.0, 7.0)
-        got = scheme_table(Scheme.CGQNM, sub0, sub1)
+        got = threshold_bank(Scheme.CGQNM, sub0, sub1)
         assert got.means == (0.0, 1.0, 2.0, 3.0)
         assert got.variances == (4.0, 5.0, 8.0, 9.0)
         assert got.mean_thresholds == (0.5, 1.5, 2.5)
-        assert got.var_thresholds == (4.5, 6.5, 8.5)
+        assert got.effective_var_thresholds == (4.5, 6.5, 8.5)
 
     def test_out_of_order_means_rejected(self):
         # subchannel-0 swing larger than subchannel-1's: level order breaks
         sub0 = SubchannelParams(0.0, 10.0, 1.0, 2.0)
         sub1 = SubchannelParams(0.0, 1.0, 3.0, 7.0)
         with pytest.raises(DegenerateLevelsError, match="order"):
-            scheme_table(Scheme.CGQNM, sub0, sub1)
+            threshold_bank(Scheme.CGQNM, sub0, sub1)
 
     def test_out_of_order_variances_rejected(self):
         # subchannel-0 variance swing larger than subchannel-1's: the sums
@@ -157,17 +158,17 @@ class TestDeriveConstants:
         sub0 = SubchannelParams(1e-3, 2e-2, 1e-10, 30e-10)
         sub1 = SubchannelParams(5e-2, 1e-1, 10e-10, 20e-10)
         with pytest.raises(DegenerateLevelsError, match="variances out of level order"):
-            scheme_table(Scheme.CGQNM, sub0, sub1)
+            threshold_bank(Scheme.CGQNM, sub0, sub1)
 
     def test_coincident_variances_rejected(self):
         sub0 = SubchannelParams(0.0, 1.0, 1.0, 2.0)
         sub1 = SubchannelParams(0.0, 3.0, 2.0, 3.0)
         with pytest.raises(DegenerateLevelsError, match="variance"):
-            scheme_table(Scheme.CGQNM, sub0, sub1)
+            threshold_bank(Scheme.CGQNM, sub0, sub1)
 
     def test_pure_function(self, canonical_subs):
-        a = scheme_table(Scheme.CGQNM, *canonical_subs)
-        b = scheme_table(Scheme.CGQNM, *canonical_subs)
+        a = threshold_bank(Scheme.CGQNM, *canonical_subs)
+        b = threshold_bank(Scheme.CGQNM, *canonical_subs)
         assert a == b
 
 
@@ -188,7 +189,7 @@ class TestDerivedModeProperties:
         rng = np.random.default_rng(8112026)
         for _ in range(300):
             s, cfg = _random_valid_config(rng)
-            got = scheme_table(Scheme.CGQNM, *derive_subchannels(cfg))
+            got = threshold_bank(Scheme.CGQNM, *derive_subchannels(cfg))
             assert all(b > a for a, b in zip(got.means, got.means[1:]))
             assert all(b > a for a, b in zip(got.variances, got.variances[1:]))
             m1, m2, m3, m4 = got.means
@@ -201,10 +202,10 @@ class TestDerivedModeProperties:
     def test_thresholds_strictly_between_levels(self):
         rng = np.random.default_rng(20260811)
         for _ in range(300):
-            got = scheme_table(Scheme.CGQNM, *derive_subchannels(_random_valid_config(rng)[1]))
+            got = threshold_bank(Scheme.CGQNM, *derive_subchannels(_random_valid_config(rng)[1]))
             for levels, thresholds in (
                 (got.means, got.mean_thresholds),
-                (got.variances, got.var_thresholds),
+                (got.variances, got.effective_var_thresholds),
             ):
                 for lo, hi, th in zip(levels, levels[1:], thresholds):
                     assert lo < th < hi

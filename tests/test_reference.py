@@ -2,14 +2,14 @@
 engine's sampler and detector are compared with."""
 
 import ast
-import dataclasses
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from noisemod import NoiseSource, Scheme, threshold_bank
+from noisemod import NoiseSource, Scheme
 from reference import detect, received
 
 
@@ -50,34 +50,31 @@ class TestReceived:
         assert out.var() == pytest.approx(4e-10, rel=1e-2)
 
 
-@pytest.fixture
-def gqnm_bank(canonical_subs):
-    return threshold_bank(Scheme.GQNM, canonical_subs[0])
-
-
-def _at(bank, mean_threshold, var_threshold):
-    """The bank with its one mean and one variance threshold moved by hand."""
-    return dataclasses.replace(bank, mean_thresholds=(mean_threshold,),
-                               effective_var_thresholds=(var_threshold,))
+def _at(mean_threshold, var_threshold):
+    """The two threshold tuples the reference detector reads of a GQNM bank,
+    set by hand; a variance threshold of 0, which a ThresholdBank refuses,
+    pins the tie rule at a constant block's variance."""
+    return SimpleNamespace(mean_thresholds=(mean_threshold,),
+                           effective_var_thresholds=(var_threshold,))
 
 
 class TestDetectEstimates:
-    def test_hand_arithmetic(self, gqnm_bank):
+    def test_hand_arithmetic(self):
         # [1, 2, 3] has mean 2 and 1/N variance 2/3 exactly: on those
         # thresholds both bits go up, and an ulp above them both stay down
         block = [1.0, 2.0, 3.0]
-        assert detect(Scheme.GQNM, _at(gqnm_bank, 2.0, 2.0 / 3.0), block) == (1, 1)
-        above = _at(gqnm_bank, math.nextafter(2.0, 3.0), math.nextafter(2.0 / 3.0, 1.0))
+        assert detect(Scheme.GQNM, _at(2.0, 2.0 / 3.0), block) == (1, 1)
+        above = _at(math.nextafter(2.0, 3.0), math.nextafter(2.0 / 3.0, 1.0))
         assert detect(Scheme.GQNM, above, block) == (0, 0)
 
-    def test_two_samples_use_the_one_over_n_divisor(self, gqnm_bank):
+    def test_two_samples_use_the_one_over_n_divisor(self):
         # [0, 2]: variance 1 with the 1/N divisor, 2 with 1/(N - 1)
-        assert detect(Scheme.GQNM, _at(gqnm_bank, 1.0, 1.5), [0.0, 2.0]) == (1, 0)
+        assert detect(Scheme.GQNM, _at(1.0, 1.5), [0.0, 2.0]) == (1, 0)
 
-    def test_constant_block(self, gqnm_bank):
+    def test_constant_block(self):
         block = [7.0] * 64
-        assert detect(Scheme.GQNM, _at(gqnm_bank, 7.0, 0.0), block) == (1, 1)
-        assert detect(Scheme.GQNM, _at(gqnm_bank, 7.0, 5e-324), block) == (1, 0)
+        assert detect(Scheme.GQNM, _at(7.0, 0.0), block) == (1, 1)
+        assert detect(Scheme.GQNM, _at(7.0, 5e-324), block) == (1, 0)
 
 
 def test_reference_imports_nothing_from_the_engine():
