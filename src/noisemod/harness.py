@@ -207,8 +207,6 @@ def run_point(
     n: int,
     min_bits: int,
     rng: NoiseSource,
-    *,
-    buffer: np.ndarray | None = None,
 ) -> BepEstimate:
     """Estimate the BEP of the receiver `bank` at n samples per symbol.
 
@@ -227,9 +225,9 @@ def run_point(
     (a scheme with one mean level has no mean region to leave), and when
     no statistic can, no bit can err: the cell draws nothing, not even the
     state counts, and reports 0 errors over the bits it would have drawn.
-    A NoiseSource key fixes the estimate.  `buffer`, a float64 array of
-    shape (2, >= min(CHUNK_SYMBOLS, symbols)), holds the chunk's statistics
-    (run_sweep reuses one per worker); None allocates one.
+    A drawing cell allocates its (2, min(CHUNK_SYMBOLS, symbols)) chunk
+    arrays once; a certain cell allocates none.  A NoiseSource key fixes
+    the estimate.
     """
     if min_bits < 1:
         raise ValueError("min_bits must be >= 1")
@@ -241,25 +239,17 @@ def run_point(
     bps = (len(bank.means) * len(bank.variances)).bit_length() - 1  # states = 2^bps
     total_symbols = -(-min_bits // bps)
     bits_counted = total_symbols * bps
-    if not draw_any:
-        return BepEstimate(0, bits_counted, 0.0, *wilson_interval(0, bits_counted))
-    chunk = min(CHUNK_SYMBOLS, total_symbols)
-    if buffer is None:
-        buffer = np.empty((2, chunk))
-    elif (buffer.dtype != np.float64 or buffer.ndim != 2 or buffer.shape[0] != 2
-          or buffer.shape[1] < chunk):
-        raise ValueError(f"buffer must be float64 of shape (2, >= {chunk}), "
-                         f"got {buffer.dtype} {buffer.shape}")
-    gen = rng.generator
-    errors = done = 0
-    while done < total_symbols:
-        n_sym = min(CHUNK_SYMBOLS, total_symbols - done)
-        counts = _symbol_states(gen, n_sym, bank)
-        out = (buffer[0, :n_sym] if draw_means else None, buffer[1, :n_sym])
-        mean_dev, var_hat = compute_moments(
-            gen, counts.sum(axis=1), n, bank.sigma_w, bank.variances, out)
-        errors += _detect_bits(counts, mean_dev, var_hat, mean_th, var_th)
-        done += n_sym
+    errors = 0
+    if draw_any:
+        gen = rng.generator
+        stats = np.empty((2, min(CHUNK_SYMBOLS, total_symbols)))
+        for done in range(0, total_symbols, CHUNK_SYMBOLS):
+            n_sym = min(CHUNK_SYMBOLS, total_symbols - done)
+            counts = _symbol_states(gen, n_sym, bank)
+            out = (stats[0, :n_sym] if draw_means else None, stats[1, :n_sym])
+            mean_dev, var_hat = compute_moments(
+                gen, counts.sum(axis=1), n, bank.sigma_w, bank.variances, out)
+            errors += _detect_bits(counts, mean_dev, var_hat, mean_th, var_th)
     low, high = wilson_interval(errors, bits_counted)
     return BepEstimate(errors, bits_counted, errors / bits_counted, low, high)
 
@@ -360,7 +350,7 @@ def _fingerprint(spec: SweepSpec, scheme: Scheme, index: int, n_symbol: int,
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _run_cell(spec: SweepSpec, scheme: Scheme, index: int, buffer: np.ndarray) -> RunRecord:
+def _run_cell(spec: SweepSpec, scheme: Scheme, index: int) -> RunRecord:
     n_point, sigma_w = spec.point(index)
     n_symbol = spec.n_symbol(scheme, n_point)
     stream_id = stable_stream_id(scheme.value, index)
@@ -368,7 +358,7 @@ def _run_cell(spec: SweepSpec, scheme: Scheme, index: int, buffer: np.ndarray) -
     t0 = time.perf_counter()
     bank = threshold_bank(scheme, *derive_subchannels(spec.scheme_config),
                           mode=spec.threshold_mode, sigma_w=sigma_w)
-    est = run_point(bank, n_symbol, spec.min_bits, rng, buffer=buffer)
+    est = run_point(bank, n_symbol, spec.min_bits, rng)
     wall = time.perf_counter() - t0
     return RunRecord(
         scheme=scheme,
@@ -422,11 +412,10 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
             halted.append(e)
 
     def work():
-        buffer = np.empty((2, CHUNK_SYMBOLS))  # one per worker, reused by each of its cells
         while (item := take()) is not None:
             index, (scheme, i) = item
             try:
-                outcomes[index] = _run_cell(spec, scheme, i, buffer)
+                outcomes[index] = _run_cell(spec, scheme, i)
             except Exception as e:  # noqa: BLE001 - cell isolation by contract
                 outcomes[index] = CellFailure(scheme, spec.values[i], f"{type(e).__name__}: {e}")
 
@@ -453,12 +442,6 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     return SweepResult(tuple(o for o in outcomes if not isinstance(o, CellFailure)), failures)
 
 
-CSV_COLUMNS = (
-    "scheme", "variable", "value", "N", "sigma_w", "bits", "errors",
-    "bep", "ci_low", "ci_high", "seed", "fingerprint",
-)
-
-
 def _fmt(value) -> str:
     # 17 significant digits round-trips every float64 exactly.
     if isinstance(value, float):
@@ -467,6 +450,7 @@ def _fmt(value) -> str:
 
 
 def _record_cells(r: RunRecord) -> dict:
+    """A record's output cells; the keys, in order, are the CSV header."""
     return {
         "scheme": r.scheme.value,
         "variable": r.variable.value,
@@ -485,19 +469,16 @@ def _record_cells(r: RunRecord) -> dict:
 
 def emit(records, format: str = "csv", path: str = "-") -> None:
     """Write run records as CSV or JSON; path '-' writes to stdout."""
-    records = list(records)
-    if not records:
+    rows = [_record_cells(r) for r in records]
+    if not rows:
         raise ValueError("no records to emit")
     if format not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {format!r}")
     if format == "csv":
-        lines = [",".join(CSV_COLUMNS)]
-        for r in records:
-            cells = _record_cells(r)
-            lines.append(",".join(_fmt(cells[c]) for c in CSV_COLUMNS))
+        lines = [",".join(rows[0]), *(",".join(map(_fmt, row.values())) for row in rows)]
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps([_record_cells(r) for r in records], indent=2) + "\n"
+        text = json.dumps(rows, indent=2) + "\n"
     if path == "-":
         sys.stdout.write(text)
         return

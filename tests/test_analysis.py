@@ -231,14 +231,39 @@ class TestReport:
 
 @st.composite
 def explicit_configs(draw):
-    """Two explicit subchannels with arbitrary valid values; the composite
-    levels of many of them coincide or fall out of order."""
+    """Two explicit subchannels with valid values.  The composite levels
+    ascend exactly when sub1's mean and variance gaps exceed sub0's, so most
+    draws scale sub1's gaps from sub0's by factors in (1, 100]; about one in
+    six draws sub1 freely, and many of those coincide or fall out of order."""
     def sub():
         m_L = draw(st.floats(-1.0, 1.0))
         var_0 = 10.0 ** draw(st.floats(-12.0, 0.0))
         return SubchannelParams(m_L, m_L + draw(st.floats(1e-6, 1.0)),
                                 var_0, var_0 * draw(st.floats(1.001, 100.0)))
-    return SchemeConfig(sub(), sub())
+
+    def scaled(base):
+        factor = st.floats(1.0, 100.0, exclude_min=True)
+        m_L = draw(st.floats(-1.0, 1.0))
+        var_0 = base.var_0 * 10.0 ** draw(st.floats(-3.0, 3.0))
+        return SubchannelParams(m_L, m_L + draw(factor) * (base.m_H - base.m_L),
+                                var_0, var_0 + draw(factor) * (base.var_1 - base.var_0))
+
+    sub0 = sub()
+    return SchemeConfig(sub0, scaled(sub0) if draw(st.integers(0, 9)) else sub())
+
+
+class TestExplicitConfigs:
+    def test_most_build_a_composite_bank(self):
+        # the property tests below see the composite on most of their examples
+        built = []
+
+        @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+        @given(config=explicit_configs())
+        def draw(config):
+            built.append(_cgqnm_bank(config) is not None)
+
+        draw()
+        assert len(built) == 100 and 60 <= sum(built) < 100, sum(built)
 
 
 class TestReportProperty:

@@ -38,7 +38,6 @@ from noisemod import (
     wilson_interval,
 )
 from noisemod.harness import (
-    CSV_COLUMNS,
     LOG_NEGLIGIBLE,
     BepEstimate,
     CellFailure,
@@ -120,16 +119,18 @@ class TestRunPoint:
         b = run_point(*args, NoiseSource(7, 9))
         assert a == b
 
-    def test_buffer_reuse_does_not_change_results(self):
+    def test_chunk_array_contents_do_not_change_results(self, monkeypatch):
         args = (_bank(Scheme.CGQNM, DEFAULT_SCHEME, 2e-5), 50, 8000)
         own = run_point(*args, NoiseSource(3, 4))
-        buffer = np.full((2, 1 << 16), np.nan)
-        assert run_point(*args, NoiseSource(3, 4), buffer=buffer) == own
-        assert run_point(*args, NoiseSource(3, 4), buffer=buffer) == own  # stale contents
-        with pytest.raises(ValueError, match="buffer"):  # 2000 symbols need 2000 columns
-            run_point(*args, NoiseSource(3, 4), buffer=np.empty((2, 1999)))
-        with pytest.raises(ValueError, match="buffer"):
-            run_point(*args, NoiseSource(3, 4), buffer=np.empty((2, 2000), np.float32))
+        shapes, empty = [], np.empty
+
+        def stale(shape, *a, **kw):  # fresh arrays full of NaN stand in for stale contents
+            shapes.append(shape)
+            return np.full_like(empty(shape, *a, **kw), np.nan)
+
+        monkeypatch.setattr(np, "empty", stale)
+        assert run_point(*args, NoiseSource(3, 4)) == own
+        assert shapes == [(2, 2000)]  # 8000 bits of 4 per symbol: one chunk, allocated once
 
     def test_chunking_does_not_change_results(self, monkeypatch):
         args = (_bank(Scheme.CGQNM, DEFAULT_SCHEME, 2e-5), 50, 8000)
@@ -143,10 +144,14 @@ class TestRunPoint:
         assert abs(chunked.bep - whole.bep) < 6 * (whole.ci_high - whole.ci_low)
 
     @pytest.mark.parametrize("scheme, n", [(Scheme.KLJN, 2000), (Scheme.GQNM, 4000)])
-    def test_certain_cell_draws_nothing(self, scheme, n):
+    def test_certain_cell_draws_nothing(self, monkeypatch, scheme, n):
         # noise-free canonical KLJN and GQNM at 2000 samples per bit: no mean
         # or variance can leave its region with chance 2^-128, so the cell
-        # reports 0 errors without creating its generator
+        # reports 0 errors without creating its generator or chunk arrays
+        def refused(*args, **kwargs):
+            raise AssertionError("a certain cell allocated chunk arrays")
+
+        monkeypatch.setattr(np, "empty", refused)
         rng = NoiseSource(1)
         est = run_point(_bank(scheme, DEFAULT_SCHEME, 0.0), n, 100_000, rng)
         assert est == BepEstimate(0, 100_000, 0.0, *wilson_interval(0, 100_000))
@@ -510,7 +515,7 @@ class TestReadmeExamples:
         assert len(README_BLOCKS) == 3
 
     @pytest.mark.parametrize("fence, source", README_BLOCKS,
-                             ids=[f"README.md:{fence}" for fence, _ in README_BLOCKS])
+                             ids=[f"README.md#{k}" for k in range(1, len(README_BLOCKS) + 1)])
     def test_block_runs(self, fence, source):
         # padded so that a traceback's line numbers are README's own
         code = compile("\n" * fence + source, "README.md", "exec")
@@ -775,7 +780,7 @@ class TestRunSweep:
         _cpus(monkeypatch, 2)
         caller, released, begun = threading.get_ident(), threading.Event(), []
 
-        def cell(spec, scheme, index, buffer):
+        def cell(spec, scheme, index):
             begun.append((scheme, index))
             if threading.get_ident() == caller:
                 raise KeyboardInterrupt
@@ -804,13 +809,13 @@ class TestRunSweep:
         _cpus(monkeypatch, 2)
         caller, raised, failed, real = threading.get_ident(), threading.Event(), [], hn._run_cell
 
-        def cell(spec, scheme, index, buffer):
+        def cell(spec, scheme, index):
             if threading.get_ident() != caller and not raised.is_set():
                 failed.append((scheme, index))
                 raised.set()
                 raise failure
             raised.wait(30)  # the caller holds its first cell until a helper has failed
-            return real(spec, scheme, index, buffer)
+            return real(spec, scheme, index)
 
         monkeypatch.setattr(hn, "_run_cell", cell)
         return failed
@@ -906,6 +911,9 @@ class TestRunSweep:
             _tiny_spec(n=1)
 
 
+CSV_HEADER = "scheme,variable,value,N,sigma_w,bits,errors,bep,ci_low,ci_high,seed,fingerprint"
+
+
 class TestEmit:
     @pytest.fixture
     def records(self):
@@ -915,9 +923,9 @@ class TestEmit:
         path = tmp_path / "out.csv"
         emit(records, format="csv", path=str(path))
         lines = path.read_text().splitlines()
-        assert lines[0] == ",".join(CSV_COLUMNS)
+        assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + len(records)
-        first = dict(zip(CSV_COLUMNS, lines[1].split(",")))
+        first = dict(zip(CSV_HEADER.split(","), lines[1].split(",")))
         assert first["scheme"] == "kljn"
         assert first["variable"] == "n"
         assert first["value"] == "40"
@@ -931,7 +939,7 @@ class TestEmit:
         emit(records, format="json", path=str(path))
         data = json.loads(path.read_text())
         assert len(data) == len(records)
-        assert set(data[0]) == set(CSV_COLUMNS)
+        assert ",".join(data[0]) == CSV_HEADER
         assert data[0]["bep"] == records[0].estimate.bep
 
     def test_reemission_is_byte_identical(self, records, tmp_path):
