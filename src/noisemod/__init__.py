@@ -45,14 +45,14 @@ from .modem import (
     threshold_bank,
 )
 from .params import (
-    ChannelConfig,
     ConfigError,
-    DEFAULT_CHANNEL,
     DEFAULT_SAMPLES_PER_SYMBOL,
     DEFAULT_SCHEME,
+    DEFAULT_SIGMA_W,
     DegenerateLevelsError,
     SchemeConfig,
     SubchannelParams,
+    check_sigma_w,
     derive_subchannels,
     load_config,
 )
@@ -61,11 +61,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BepEstimate",
-    "ChannelConfig",
     "ConfigError",
-    "DEFAULT_CHANNEL",
     "DEFAULT_SAMPLES_PER_SYMBOL",
     "DEFAULT_SCHEME",
+    "DEFAULT_SIGMA_W",
     "DegenerateLevelsError",
     "DistinguishabilityReport",
     "Fairness",
@@ -85,6 +84,7 @@ __all__ = [
     "VariancePairCheck",
     "build_report",
     "check_mean_condition",
+    "check_sigma_w",
     "check_variance_condition",
     "chi_square_moment",
     "derive_subchannels",

@@ -17,14 +17,13 @@ import sys
 from dataclasses import asdict
 
 from .analysis import SpreadFormula, build_report, sample_variance_spread
-from .harness import Fairness, SweepSpec, SweepVariable, emit, run_sweep
+from .harness import Fairness, SweepSpec, emit, run_sweep
 from .modem import Scheme, ThresholdMode, threshold_bank
 from .params import (
-    ChannelConfig,
     ConfigError,
-    DEFAULT_CHANNEL,
     DEFAULT_SAMPLES_PER_SYMBOL,
     DEFAULT_SCHEME,
+    DEFAULT_SIGMA_W,
     DegenerateLevelsError,
     derive_subchannels,
     load_config,
@@ -71,7 +70,7 @@ def _parse_range(text: str, kind: type) -> list:
 
 def _load(args):
     if args.config is None:
-        return DEFAULT_SCHEME, DEFAULT_CHANNEL, DEFAULT_SAMPLES_PER_SYMBOL
+        return DEFAULT_SCHEME, DEFAULT_SIGMA_W, DEFAULT_SAMPLES_PER_SYMBOL
     return load_config(args.config)
 
 
@@ -81,25 +80,11 @@ _SCHEME_CHOICES = {scheme.value: (scheme,) for scheme in Scheme} | {"all": tuple
 def cmd_simulate(args) -> int:
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-    scheme_config, channel, n_default = _load(args)
-    n_values = _parse_range(args.n, int) if args.n is not None else [n_default]
-    sw_values = (
-        _parse_range(args.sigma_w, float) if args.sigma_w is not None else [channel.sigma_w]
-    )
-    if len(n_values) > 1 and len(sw_values) > 1:
-        raise ConfigError("sweep one variable at a time (--n and --sigma-w are both ranges)")
-    channels = [ChannelConfig(sigma_w) for sigma_w in sw_values]  # checked before any cell
-    if len(sw_values) > 1:
-        variable, values = SweepVariable.SIGMA_W, tuple(sw_values)
-    else:
-        variable, values = SweepVariable.SAMPLES_N, tuple(n_values)
-        channel = channels[0]
+    scheme_config, sigma_w, n = _load(args)
     spec = SweepSpec(
-        variable=variable,
-        values=values,
+        n=_parse_range(args.n, int) if args.n is not None else [n],
+        sigma_w=_parse_range(args.sigma_w, float) if args.sigma_w is not None else [sigma_w],
         scheme_config=scheme_config,
-        channel=channel,
-        n=n_values[0],
         schemes=_SCHEME_CHOICES[args.scheme],
         min_bits=args.min_bits,
         seed=args.seed,
@@ -140,8 +125,7 @@ def _preflight_note(spec: SweepSpec) -> None:
     chi-square spread, are unsatisfied at the samples per symbol of its
     smallest swept block and the sweep's largest channel noise.  Raise
     ValueError first if the largest swept block leaves float range."""
-    n_worst, _ = spec.point(0)
-    n_largest, sigma_w = spec.point(len(spec.values) - 1)
+    n_worst, n_largest, sigma_w = min(spec.n), max(spec.n), max(spec.sigma_w)
     for scheme in spec.schemes:
         sample_variance_spread(1.0, spec.n_symbol(scheme, n_largest))  # raises beyond float range
     subs = derive_subchannels(spec.scheme_config)

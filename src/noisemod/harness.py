@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import os
 import sys
 import threading
@@ -21,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .modem import NoiseSource, Scheme, ThresholdBank, ThresholdMode, threshold_bank
-from .params import ChannelConfig, SchemeConfig, derive_subchannels
+from .params import SchemeConfig, check_sigma_w, derive_subchannels
 
 # Symbols per chunk; bounds the chunk's statistic arrays (1 MB) whatever N is.
 CHUNK_SYMBOLS = 1 << 16
@@ -256,13 +257,15 @@ def run_point(
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep: which variable moves, over which values, and how."""
+    """One sweep: its (N, sigma_w) grid and how its cells run.  n and
+    sigma_w each hold one value or, swept, several strictly ascending ones;
+    at most one is swept.  Every N must be an integer >= 2, and every
+    sigma_w pass check_sigma_w, whose float (-0.0 read as 0.0) the spec
+    keeps."""
 
-    variable: SweepVariable
-    values: tuple
+    n: tuple[int, ...]
+    sigma_w: tuple[float, ...]
     scheme_config: SchemeConfig
-    channel: ChannelConfig
-    n: int
     schemes: tuple[Scheme, ...] = (Scheme.KLJN, Scheme.GQNM, Scheme.CGQNM)
     min_bits: int = 100_000
     seed: int = 1
@@ -270,25 +273,38 @@ class SweepSpec:
     threshold_mode: ThresholdMode = ThresholdMode.NOISE_ADJUSTED
 
     def __post_init__(self):
-        if not self.values:
-            raise ValueError("sweep values must be non-empty")
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
-            raise ValueError(f"sweep values must be strictly ascending: {self.values!r}")
+        if len(self.n) > 1 and len(self.sigma_w) > 1:
+            raise ValueError("sweep one variable at a time: n and sigma_w both hold several values")
+        object.__setattr__(self, "n", tuple(map(operator.index, self.n)))
+        object.__setattr__(self, "sigma_w", tuple(map(check_sigma_w, self.sigma_w)))
+        for values in (self.n, self.sigma_w):
+            if not values:
+                raise ValueError("sweep values must be non-empty")
+            if any(b <= a for a, b in zip(values, values[1:])):
+                raise ValueError(f"sweep values must be strictly ascending: {values!r}")
         if self.min_bits < 1000:
             raise ValueError(f"min_bits >= 1000 required, got {self.min_bits}")
         if not self.schemes:
             raise ValueError("at least one scheme required")
-        if self.n < 2:
-            raise ValueError("n >= 2 required")
+        if min(self.n) < 2:
+            raise ValueError(f"n >= 2 required, got {min(self.n)}")
         if self.seed < 0:
             raise ValueError(f"seed >= 0 required, got {self.seed}")
 
+    @property
+    def variable(self) -> SweepVariable:
+        """sigma_w when it holds several values, N otherwise."""
+        return SweepVariable.SIGMA_W if len(self.sigma_w) > 1 else SweepVariable.SAMPLES_N
+
+    @property
+    def values(self) -> tuple:
+        """The swept variable's values."""
+        return self.sigma_w if self.variable is SweepVariable.SIGMA_W else self.n
+
     def point(self, index: int) -> tuple[int, float]:
-        """(N, sigma_w) of the cells at swept value `index`."""
-        value = self.values[index]
-        if self.variable is SweepVariable.SAMPLES_N:
-            return int(value), self.channel.sigma_w
-        return self.n, float(value)
+        """(N, sigma_w) of the cells at swept value `index`: the swept
+        tuple's value there and the fixed tuple's one value."""
+        return tuple(v[index] if len(v) > 1 else v[0] for v in (self.n, self.sigma_w))
 
     def n_symbol(self, scheme: Scheme, n: int) -> int:
         """Samples per symbol of `scheme` at swept or fixed N (see Fairness)."""

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .params import ChannelConfig, ConfigError, DegenerateLevelsError, SubchannelParams
+from .params import ConfigError, DegenerateLevelsError, SubchannelParams, check_sigma_w
 
 
 class Scheme(Enum):
@@ -97,7 +97,7 @@ class ThresholdBank:
     means and variances are indexed by level index (see Scheme.layout for
     the symbol bits that form each index).  threshold_bank builds a bank
     from subchannels; one built by hand is checked the same way:
-    - sigma_w passes ChannelConfig's checks;
+    - sigma_w passes check_sigma_w;
     - the states, len(means) * len(variances), are 2^b for some b >= 1, so
       that uniform random bits select them: b is the bits per symbol
       harness.run_point counts;
@@ -119,7 +119,7 @@ class ThresholdBank:
     sigma_w: float
 
     def __post_init__(self):
-        ChannelConfig(self.sigma_w)  # ConfigError unless a valid channel noise level
+        check_sigma_w(self.sigma_w)
         states = len(self.means) * len(self.variances)
         if states < 2 or states & (states - 1):
             raise ConfigError(f"{len(self.means)} mean x {len(self.variances)} "

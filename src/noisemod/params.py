@@ -98,18 +98,16 @@ class SchemeConfig:
         )
 
 
-@dataclass(frozen=True)
-class ChannelConfig:
-    """Additive channel noise level (standard deviation, V)."""
-
-    sigma_w: float
-
-    def __post_init__(self):
-        _require_finite("sigma_w", self.sigma_w)
-        if not self.sigma_w >= 0.0:
-            raise ConfigError(f"sigma_w >= 0 required, got {self.sigma_w!r}")
-        if not math.isfinite(self.sigma_w * self.sigma_w):
-            raise ConfigError(f"sigma_w^2 must be finite, got sigma_w={self.sigma_w!r}")
+def check_sigma_w(sigma_w) -> float:
+    """The channel noise level sigma_w (standard deviation, V) as a float,
+    with -0.0 read as 0.0.  Raises ConfigError unless it is finite, >= 0
+    and has a finite square (the sampler adds sigma_w^2 to every level)."""
+    _require_finite("sigma_w", sigma_w)
+    if not sigma_w >= 0.0:
+        raise ConfigError(f"sigma_w >= 0 required, got {sigma_w!r}")
+    if not math.isfinite(sigma_w * sigma_w):
+        raise ConfigError(f"sigma_w^2 must be finite, got sigma_w={sigma_w!r}")
+    return float(sigma_w) + 0.0  # -0.0 + 0.0 is 0.0
 
 
 def derive_subchannels(config: SchemeConfig) -> tuple[SubchannelParams, ...]:
@@ -122,7 +120,7 @@ def derive_subchannels(config: SchemeConfig) -> tuple[SubchannelParams, ...]:
 DEFAULT_SCHEME = SchemeConfig.derived(
     m_L0=1e-3, alpha=20.0, beta=5.0, var_00=1e-10, eta=5.0, gamma=20.0
 )
-DEFAULT_CHANNEL = ChannelConfig(sigma_w=2e-5)
+DEFAULT_SIGMA_W = 2e-5
 DEFAULT_SAMPLES_PER_SYMBOL = 100
 
 _SCALAR_KEYS = ("m_L0", "alpha", "beta", "var_00", "eta", "gamma")
@@ -154,10 +152,10 @@ def _parse_sub(block, label) -> SubchannelParams:
     })
 
 
-def load_config(path) -> tuple[SchemeConfig, ChannelConfig, int]:
+def load_config(path) -> tuple[SchemeConfig, float, int]:
     """Load a JSON config file.
 
-    Returns (scheme config, channel config, samples per symbol).  The file
+    Returns (scheme config, sigma_w, samples per symbol).  The file
     either carries the six scale factors or an `explicit` block with every
     subchannel, and both load to the same config; `sigma_w` and
     `samples_per_symbol` are optional and fall back to the defaults above.
@@ -186,12 +184,11 @@ def load_config(path) -> tuple[SchemeConfig, ChannelConfig, int]:
             if missing:
                 raise ConfigError(f"missing keys: {', '.join(missing)}")
             scheme = SchemeConfig.derived(*(_number(raw[k], k) for k in _SCALAR_KEYS))
-        sigma_w = raw.get("sigma_w", DEFAULT_CHANNEL.sigma_w)
-        channel = ChannelConfig(_number(sigma_w, "sigma_w"))
+        sigma_w = check_sigma_w(_number(raw.get("sigma_w", DEFAULT_SIGMA_W), "sigma_w"))
         n = raw.get("samples_per_symbol", DEFAULT_SAMPLES_PER_SYMBOL)
         if not isinstance(n, int) or isinstance(n, bool) or n < 2:
             raise ConfigError(f"samples_per_symbol must be an integer >= 2, got {n!r}")
-        return scheme, channel, n
+        return scheme, sigma_w, n
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ConfigError(f"{path}: not valid JSON ({e})") from e
     except ConfigError as e:  # every message names the file once

@@ -12,12 +12,10 @@ import numpy as np
 import pytest
 
 from noisemod import (
-    ChannelConfig,
     DEFAULT_SCHEME,
     NoiseSource,
     Scheme,
     SweepSpec,
-    SweepVariable,
     chi_square_moment,
     emit,
     load_config,
@@ -71,11 +69,9 @@ def test_criterion_1_derived_constants_oracle(capsys):
 
 def test_criterion_2_round_trip_soundness(capsys):
     spec = SweepSpec(
-        variable=SweepVariable.SAMPLES_N,
-        values=(10_000,),
+        n=(10_000,),
+        sigma_w=(0.0,),
         scheme_config=DEFAULT_SCHEME,
-        channel=ChannelConfig(0.0),
-        n=10_000,
         min_bits=100_000,
         seed=202,
     )
@@ -169,14 +165,12 @@ def test_criterion_5_mean_condition(capsys):
     )
 
 
-def _literal_sweep_spec(variable, values, n, seed):
-    scheme_config, channel, _ = load_config(LITERAL_CFG)
+def _literal_sweep_spec(n, seed, sigma_w=None):
+    scheme_config, config_sigma_w, _ = load_config(LITERAL_CFG)
     return SweepSpec(
-        variable=variable,
-        values=values,
-        scheme_config=scheme_config,
-        channel=channel,
         n=n,
+        sigma_w=sigma_w or (config_sigma_w,),
+        scheme_config=scheme_config,
         min_bits=200_000,
         seed=seed,
     )
@@ -190,7 +184,7 @@ def _by_scheme(records):
 
 
 def test_criterion_6_bep_versus_n_trend(capsys):
-    spec = _literal_sweep_spec(SweepVariable.SAMPLES_N, (40, 55, 70, 85, 100), 100, seed=606)
+    spec = _literal_sweep_spec((40, 55, 70, 85, 100), seed=606)
     t0 = time.perf_counter()
     result = run_sweep(spec, workers=2)
     wall = time.perf_counter() - t0
@@ -221,9 +215,7 @@ def test_criterion_6_bep_versus_n_trend(capsys):
 
 
 def test_criterion_7_bep_versus_sigma_trend(capsys):
-    spec = _literal_sweep_spec(
-        SweepVariable.SIGMA_W, (1e-5, 2e-5, 3e-5, 4e-5, 5e-5), 100, seed=707
-    )
+    spec = _literal_sweep_spec((100,), seed=707, sigma_w=(1e-5, 2e-5, 3e-5, 4e-5, 5e-5))
     t0 = time.perf_counter()
     result = run_sweep(spec, workers=2)
     wall = time.perf_counter() - t0
@@ -240,7 +232,7 @@ def test_criterion_7_bep_versus_sigma_trend(capsys):
 def test_criterion_8_worker_count_determinism(capsys, tmp_path, monkeypatch):
     import noisemod.harness as hn
 
-    spec = _literal_sweep_spec(SweepVariable.SAMPLES_N, (40, 55, 70, 85, 100), 100, seed=606)
+    spec = _literal_sweep_spec((40, 55, 70, 85, 100), seed=606)
     # the sweep is small enough to run in-process; force 8 real worker threads
     monkeypatch.setattr(hn, "SYMBOLS_PER_WORKER", 1)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)

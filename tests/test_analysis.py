@@ -252,6 +252,24 @@ def explicit_configs(draw):
     return SchemeConfig(sub0, scaled(sub0) if draw(st.integers(0, 9)) else sub())
 
 
+@st.composite
+def derived_factors(draw):
+    """Six scale factors that SchemeConfig.derived accepts, by keyword.  eta
+    spans (1, 101] around the ceiling's extremum 1 + sqrt 2, and gamma sits
+    a factor in (1, 101] above it, down to a millionth above eta."""
+    above_one = lambda low, high: 1.0 + 10.0 ** draw(st.floats(low, high))  # noqa: E731
+    alpha = above_one(-3.0, 2.0)
+    eta = above_one(-3.0, 2.0)
+    return dict(
+        m_L0=10.0 ** draw(st.floats(-6.0, 0.0)),
+        alpha=alpha,
+        beta=1.0 + (alpha - 1.0) * draw(st.floats(0.01, 0.99)),
+        var_00=10.0 ** draw(st.floats(-12.0, 0.0)),
+        eta=eta,
+        gamma=eta * above_one(-6.0, 2.0),
+    )
+
+
 class TestExplicitConfigs:
     def test_most_build_a_composite_bank(self):
         # the property tests below see the composite on most of their examples
@@ -291,6 +309,9 @@ class TestReportProperty:
 
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
+# The ceiling of the derived form (SchemeConfig.derived), approached as gamma
+# falls to eta = 1 + sqrt 2.
+DERIVED_CEILING = (1.0 + math.sqrt(2.0)) / 2.0
 
 
 def _cgqnm_bank(config):
@@ -314,6 +335,17 @@ class TestVarianceRatioCeiling:
     @given(config=explicit_configs().filter(lambda config: _cgqnm_bank(config) is not None))
     def test_below_the_golden_ratio(self, config):
         assert _smallest_variance_ratio(_cgqnm_bank(config)) < PHI
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(factors=derived_factors())
+    def test_derived_form_below_its_ceiling(self, factors):
+        """Under the scaling rules the variances are v(1+g) < v(e+g) < v(1+ge)
+        < ve(1+g) for eta e and gamma g; the top ratio e(1+g)/(1+ge) falls as
+        g rises above e, so it stays below e(1+e)/(1+e^2) <= (1 + sqrt 2)/2."""
+        eta = factors["eta"]
+        ratio = _smallest_variance_ratio(_cgqnm_bank(SchemeConfig.derived(**factors)))
+        assert ratio < eta * (1.0 + eta) / (1.0 + eta * eta) * (1.0 + 1e-12)
+        assert ratio < DERIVED_CEILING * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("name, ratio", [("canonical", 105 / 101),
                                              ("paper_literal", 1.0099)])

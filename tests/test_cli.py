@@ -9,13 +9,13 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from noisemod import load_config
+from noisemod import SchemeConfig, load_config
 from noisemod.cli import main
 from pathlib import Path
 
-from test_analysis import explicit_configs
+from test_analysis import derived_factors, explicit_configs
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -113,6 +113,53 @@ class TestDerive:
         }))
         assert main(["derive", "--config", str(path)]) == 1
         assert "coincident" in capsys.readouterr().err
+
+
+def _break(raw, constraint, sub):
+    """A copy of a config file's object with one constraint broken: "order"
+    sets m_H = m_L in explicit block `sub`, or gamma = eta; "variance" sets
+    var_0 there, or var_00, to 0; "sigma_w" makes sigma_w negative."""
+    raw = json.loads(json.dumps(raw))
+    if constraint == "sigma_w":
+        raw["sigma_w"] = -raw["sigma_w"] - 1e-9
+    elif "explicit" in raw:
+        block = raw["explicit"][sub]
+        if constraint == "order":
+            block["m_H"] = block["m_L"]
+        else:
+            block["var_0"] = 0.0
+    elif constraint == "order":
+        raw["gamma"] = raw["eta"]
+    else:
+        raw["var_00"] = 0.0
+    return raw
+
+
+class TestConfigFile:
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(form=st.one_of(explicit_configs(), derived_factors()), sigma_w=st.floats(0.0, 1e-3),
+           n=st.integers(2, 10**6), constraint=st.sampled_from(["order", "variance", "sigma_w"]),
+           sub=st.sampled_from(["sub0", "sub1"]))
+    def test_round_trip_and_one_broken_constraint(self, tmp_path_factory, form, sigma_w, n,
+                                                  constraint, sub):
+        """A config written in its own schema, explicit or six factors, with
+        sigma_w and N loads back equal; with one constraint broken, `check`
+        exits 1 on one error line that names the file."""
+        if isinstance(form, SchemeConfig):
+            config, raw = form, {"explicit": dataclasses.asdict(form)}
+        else:
+            config, raw = SchemeConfig.derived(**form), dict(form)
+        raw |= {"sigma_w": sigma_w, "samples_per_symbol": n}
+        path = tmp_path_factory.getbasetemp() / "config.json"
+        path.write_text(json.dumps(raw))
+        assert load_config(path) == (config, sigma_w, n)
+        path.write_text(json.dumps(_break(raw, constraint, sub)))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(["check", "--config", str(path)]) == 1
+        lines = err.getvalue().splitlines()
+        assert out.getvalue() == "" and len(lines) == 1, lines
+        assert lines[0].startswith(f"error: {path}: "), lines
 
 
 class TestCheck:
@@ -295,6 +342,24 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("usage: noisemod ")
         assert err.endswith("error: unrecognized arguments: --variance-formula paper\n")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("source", ["flag", "range", "config"])
+    def test_negative_zero_sigma_w_reads_as_zero(self, tmp_path, capsys, fmt, source):
+        # -0 and 0 are one channel noise level: same rows, same fingerprints
+        def stdout(zero):
+            if source == "config":
+                path = tmp_path / "zero.json"
+                path.write_text(json.dumps({**json.loads(Path(CANONICAL_CFG).read_text()),
+                                            "sigma_w": float(zero)}))
+                flags = ["--config", str(path)]
+            else:
+                flags = [f"--sigma-w={zero}" + (":4e-5:2e-5" if source == "range" else "")]
+            assert main(["simulate", "--scheme", "kljn", "--n", "2", "--min-bits", "1000",
+                         "--format", fmt, *flags]) == 0
+            return capsys.readouterr().out
+
+        assert stdout("-0") == stdout("0")
 
     def test_double_sweep_rejected(self, capsys):
         code = main(["simulate", "--n", "40:100:15", "--sigma-w", "1e-5:3e-5:1e-5"])

@@ -95,7 +95,7 @@ class TestBankNoise:
     @pytest.mark.parametrize("sigma_w", [-2e-5, float("nan"), float("inf"), 1e200])
     def test_bad_sigma_w_rejected(self, canonical_subs, sigma_w):
         # the bank is the BEP engine's only noise input, so it checks sigma_w
-        # as ChannelConfig does: finite, >= 0 and of finite square
+        # as check_sigma_w does: finite, >= 0 and of finite square
         with pytest.raises(ConfigError, match="sigma_w"):
             threshold_bank(Scheme.KLJN, canonical_subs[0], sigma_w=sigma_w)
         bank = threshold_bank(Scheme.KLJN, canonical_subs[0])

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from noisemod import (
-    ChannelConfig,
+    ConfigError,
     DEFAULT_SCHEME,
     DegenerateLevelsError,
     Fairness,
@@ -511,8 +511,8 @@ README_BLOCKS = _readme_python_blocks()
 
 class TestReadmeExamples:
     def test_blocks_are_found(self):
-        # "Library use", the hand-built bank and the block-level pieces
-        assert len(README_BLOCKS) == 3
+        # "Library use", the hand-built bank, the block-level pieces and the sweep
+        assert len(README_BLOCKS) == 4
 
     @pytest.mark.parametrize("fence, source", README_BLOCKS,
                              ids=[f"README.md#{k}" for k in range(1, len(README_BLOCKS) + 1)])
@@ -645,11 +645,9 @@ def _draws_per_run(monkeypatch, scheme, config, n):
 
 def _tiny_spec(**overrides):
     kwargs = dict(
-        variable=SweepVariable.SAMPLES_N,
-        values=(40, 100),
+        n=(40, 100),
+        sigma_w=(2e-5,),
         scheme_config=DEFAULT_SCHEME,
-        channel=ChannelConfig(2e-5),
-        n=100,
         min_bits=1000,
         seed=13,
     )
@@ -842,31 +840,31 @@ class TestRunSweep:
         ]
 
     def test_cells_are_independent_of_grid_shape(self):
-        lone = run_sweep(_tiny_spec(values=(40,))).records
+        lone = run_sweep(_tiny_spec(n=(40,))).records
         full = run_sweep(_tiny_spec()).records
         for scheme_idx in range(3):
             assert full[scheme_idx * 2].estimate == lone[scheme_idx].estimate
 
     @pytest.mark.parametrize("mode", list(ThresholdMode))
-    @pytest.mark.parametrize("variable, values", [
-        (SweepVariable.SAMPLES_N, (40, 100)), (SweepVariable.SIGMA_W, (0.0, 2e-5)),
+    @pytest.mark.parametrize("grid", [
+        dict(n=(40, 100), sigma_w=(2e-5,)), dict(n=(100,), sigma_w=(0.0, 2e-5)),
     ], ids=["n", "sigma_w"])
-    def test_cells_are_run_point_on_their_bank(self, variable, values, mode):
+    def test_cells_are_run_point_on_their_bank(self, grid, mode):
         # a sweep cell is the library call: run_point on the bank of its
         # scheme, config, sigma_w and mode, at its samples per symbol and stream
-        spec = _tiny_spec(variable=variable, values=values, threshold_mode=mode)
+        spec = _tiny_spec(**grid, threshold_mode=mode)
         result = run_sweep(spec)
         assert result.failures == () and len(result.records) == 6
         for record in result.records:
-            i = values.index(record.value)
+            i = spec.values.index(record.value)
             bank = _bank(record.scheme, spec.scheme_config, record.sigma_w, mode)
             rng = NoiseSource(spec.seed, stable_stream_id(record.scheme.value, i))
             n_symbol = record.n * record.scheme.bits_per_symbol  # per-bit fairness
             assert run_point(bank, n_symbol, spec.min_bits, rng) == record.estimate
 
     def test_per_symbol_fairness_shrinks_blocks(self):
-        per_bit = run_sweep(_tiny_spec(values=(100,))).records
-        per_sym = run_sweep(_tiny_spec(values=(100,), fairness=Fairness.PER_SYMBOL)).records
+        per_bit = run_sweep(_tiny_spec(n=(100,))).records
+        per_sym = run_sweep(_tiny_spec(n=(100,), fairness=Fairness.PER_SYMBOL)).records
         # composite symbols carry 4 bits: per-bit fairness gives them 4x the
         # samples, so its estimates must not be worse than per-symbol ones
         assert per_bit[2].estimate.bep <= per_sym[2].estimate.bep
@@ -875,8 +873,11 @@ class TestRunSweep:
     def test_failures_recorded_and_sweep_continues(self, monkeypatch, workers):
         import noisemod.harness as hn
 
+        # equal subchannels: the composite means coincide, so the CGQNM cell
+        # fails while KLJN, which reads sub0's variances alone, runs
         spec = _tiny_spec(
-            variable=SweepVariable.SIGMA_W, values=(-1e-5, 1e-5), schemes=(Scheme.KLJN,)
+            n=(40,), schemes=(Scheme.KLJN, Scheme.CGQNM),
+            scheme_config=SchemeConfig(DEFAULT_SCHEME.sub0, DEFAULT_SCHEME.sub0),
         )
         if workers > 1:  # one symbol per worker is enough, so the sweep really runs 2 threads
             monkeypatch.setattr(hn, "SYMBOLS_PER_WORKER", 1)
@@ -884,31 +885,72 @@ class TestRunSweep:
         result = run_sweep(spec, workers=workers)
         assert len(result.failures) == 1
         # the exception type, then its message
-        assert result.failures[0].error.startswith("ConfigError: sigma_w >= 0 required")
+        assert result.failures[0].error.startswith(
+            "DegenerateLevelsError: coincident composite mean levels")
         assert len(result.records) == 1
-        assert result.records[0].sigma_w == 1e-5
+        assert result.records[0].scheme is Scheme.KLJN
 
     def test_threshold_mode_changes_results(self):
-        adjusted = run_sweep(_tiny_spec(values=(100,), min_bits=4000)).records
+        adjusted = run_sweep(_tiny_spec(n=(100,), min_bits=4000)).records
         plain = run_sweep(
-            _tiny_spec(values=(100,), min_bits=4000, threshold_mode=ThresholdMode.MIDPOINT)
+            _tiny_spec(n=(100,), min_bits=4000, threshold_mode=ThresholdMode.MIDPOINT)
         ).records
         # without the sigma_w^2 shift the KLJN variance detector saturates
         assert plain[0].estimate.bep > adjusted[0].estimate.bep
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="ascending"):
-            _tiny_spec(values=(100, 40))
+            _tiny_spec(n=(100, 40))
         with pytest.raises(ValueError, match="min_bits"):
             _tiny_spec(min_bits=10)
         with pytest.raises(ValueError, match="non-empty"):
-            _tiny_spec(values=())
+            _tiny_spec(n=())
         with pytest.raises(ValueError, match="seed >= 0 required"):
             _tiny_spec(seed=-1)
         with pytest.raises(ValueError, match="at least one scheme"):
             _tiny_spec(schemes=())
         with pytest.raises(ValueError, match="n >= 2 required"):
-            _tiny_spec(n=1)
+            _tiny_spec(n=(1,))
+
+    @pytest.mark.parametrize("n", [(1, 40), (1, 5, 40)], ids=str)
+    def test_spec_refuses_n_below_two_anywhere(self, n):
+        # an N sweep runs every N in its tuple, the first one included
+        with pytest.raises(ValueError, match="n >= 2 required, got 1"):
+            _tiny_spec(n=n)
+
+    def test_spec_refuses_a_fractional_n(self):
+        # a block holds a whole number of samples; numpy integers are read as int
+        with pytest.raises(TypeError, match="integer"):
+            _tiny_spec(n=(40.5,))
+        assert type(_tiny_spec(n=(np.int64(40),)).n[0]) is int
+
+    def test_spec_refuses_two_swept_tuples(self):
+        with pytest.raises(ValueError, match="one variable at a time"):
+            _tiny_spec(n=(40, 100), sigma_w=(0.0, 2e-5))
+
+    @pytest.mark.parametrize("sigma_w, message", [
+        (-1e-5, "sigma_w >= 0 required, got -1e-05"),
+        (math.nan, "sigma_w must be finite, got nan"),
+        (math.inf, "sigma_w must be finite, got inf"),
+        (1e200, "sigma_w^2 must be finite, got sigma_w=1e+200"),
+    ])
+    @pytest.mark.parametrize("swept", [False, True], ids=["fixed", "swept"])
+    def test_spec_refuses_bad_sigma_w(self, sigma_w, message, swept):
+        # the messages the CLI prints for the same values
+        grid = dict(n=(40,), sigma_w=(0.0, sigma_w)) if swept else dict(sigma_w=(sigma_w,))
+        with pytest.raises(ConfigError) as raised:
+            _tiny_spec(**grid)
+        assert str(raised.value) == message
+
+    def test_spec_grid(self):
+        spec = _tiny_spec(n=[40], sigma_w=[-0.0, 2e-5])
+        assert (spec.n, spec.sigma_w) == ((40,), (0.0, 2e-5))
+        assert math.copysign(1.0, spec.sigma_w[0]) == 1.0  # -0.0 is kept as 0.0
+        assert (spec.variable, spec.values) == (SweepVariable.SIGMA_W, (0.0, 2e-5))
+        assert [spec.point(i) for i in range(2)] == [(40, 0.0), (40, 2e-5)]
+        spec = _tiny_spec()
+        assert (spec.variable, spec.values) == (SweepVariable.SAMPLES_N, (40, 100))
+        assert [spec.point(i) for i in range(2)] == [(40, 2e-5), (100, 2e-5)]
 
 
 CSV_HEADER = "scheme,variable,value,N,sigma_w,bits,errors,bep,ci_low,ci_high,seed,fingerprint"

@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from noisemod import (
-    ChannelConfig,
     ConfigError,
     DEFAULT_SCHEME,
     DegenerateLevelsError,
     Scheme,
     SchemeConfig,
     SubchannelParams,
+    check_sigma_w,
     derive_subchannels,
     load_config,
     threshold_bank,
@@ -211,28 +211,28 @@ class TestDerivedModeProperties:
                     assert lo < th < hi
 
 
-class TestChannelConfig:
+class TestCheckSigmaW:
     def test_zero_noise_allowed(self):
-        assert ChannelConfig(0.0).sigma_w == 0.0
+        assert check_sigma_w(0.0) == 0.0
 
     def test_negative_noise_rejected(self):
         with pytest.raises(ConfigError, match="sigma_w"):
-            ChannelConfig(-1e-6)
+            check_sigma_w(-1e-6)
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_noise_rejected(self, value):
         with pytest.raises(ConfigError, match="sigma_w must be finite"):
-            ChannelConfig(value)
+            check_sigma_w(value)
 
     @pytest.mark.parametrize("value", [1e155, 1e200, 1.7e308])
     def test_overflowing_noise_power_rejected(self, value):
         # the sampler adds sigma_w^2 to every level, so an infinite square
         # would flatten every level into one
         with pytest.raises(ConfigError, match=r"sigma_w\^2 must be finite"):
-            ChannelConfig(value)
+            check_sigma_w(value)
 
     def test_largest_finite_noise_power_allowed(self):
-        assert ChannelConfig(1e154).sigma_w == 1e154
+        assert check_sigma_w(1e154) == 1e154
 
 
 class TestLoadConfig:
@@ -242,9 +242,9 @@ class TestLoadConfig:
             "m_L0": 1e-3, "alpha": 20, "beta": 5, "var_00": 1e-10,
             "eta": 5, "gamma": 20, "sigma_w": 2e-5, "samples_per_symbol": 100,
         }))
-        scheme, channel, n = load_config(path)
+        scheme, sigma_w, n = load_config(path)
         assert scheme == DEFAULT_SCHEME
-        assert channel.sigma_w == 2e-5
+        assert sigma_w == 2e-5
         assert n == 100
 
     def test_defaults_for_optional_keys(self, tmp_path):
@@ -252,8 +252,8 @@ class TestLoadConfig:
         path.write_text(json.dumps({
             "m_L0": 1e-3, "alpha": 20, "beta": 5, "var_00": 1e-10, "eta": 5, "gamma": 20,
         }))
-        _, channel, n = load_config(path)
-        assert channel.sigma_w == 2e-5
+        _, sigma_w, n = load_config(path)
+        assert sigma_w == 2e-5
         assert n == 100
 
     def test_explicit_file(self, tmp_path):
@@ -265,9 +265,9 @@ class TestLoadConfig:
                 "sub1": {"m_L": 5e-3, "m_H": 1e-1, "var_0": 5e-10, "var_1": 1e-8},
             },
         }))
-        scheme, channel, _ = load_config(path)
+        scheme, sigma_w, _ = load_config(path)
         assert scheme.sub1.var_1 == 1e-8
-        assert channel.sigma_w == 0.0
+        assert sigma_w == 0.0
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -363,14 +363,14 @@ class TestLoadConfig:
         assert capsys.readouterr().out == ""
 
     def test_shipped_configs_parse(self):
-        scheme, channel, n = load_config(REPO_ROOT / "configs" / "canonical.json")
+        scheme, sigma_w, n = load_config(REPO_ROOT / "configs" / "canonical.json")
         assert scheme == DEFAULT_SCHEME and n == 100
-        scheme, channel, n = load_config(REPO_ROOT / "configs" / "paper_literal.json")
+        scheme, sigma_w, n = load_config(REPO_ROOT / "configs" / "paper_literal.json")
         assert scheme == SchemeConfig(
             SubchannelParams(1e-3, 2e-2, 1e-10, 1.99996164e-10),
             SubchannelParams(5e-3, 1e-1, 5.000143210000001e-10, 1e-8),
         )
-        assert channel.sigma_w == 2e-5
+        assert sigma_w == 2e-5
 
 
 @st.composite
