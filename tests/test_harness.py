@@ -874,9 +874,10 @@ class TestRunSweep:
         import noisemod.harness as hn
 
         # equal subchannels: the composite means coincide, so the CGQNM cell
-        # fails while KLJN, which reads sub0's variances alone, runs
+        # fails while KLJN, which reads sub0's variances alone, runs; CGQNM
+        # comes first, so the KLJN cell runs after the failure
         spec = _tiny_spec(
-            n=(40,), schemes=(Scheme.KLJN, Scheme.CGQNM),
+            n=(40,), schemes=(Scheme.CGQNM, Scheme.KLJN),
             scheme_config=SchemeConfig(DEFAULT_SCHEME.sub0, DEFAULT_SCHEME.sub0),
         )
         if workers > 1:  # one symbol per worker is enough, so the sweep really runs 2 threads
@@ -884,6 +885,7 @@ class TestRunSweep:
             _cpus(monkeypatch, 2)
         result = run_sweep(spec, workers=workers)
         assert len(result.failures) == 1
+        assert result.failures[0].scheme is Scheme.CGQNM
         # the exception type, then its message
         assert result.failures[0].error.startswith(
             "DegenerateLevelsError: coincident composite mean levels")
@@ -936,7 +938,8 @@ class TestRunSweep:
     ])
     @pytest.mark.parametrize("swept", [False, True], ids=["fixed", "swept"])
     def test_spec_refuses_bad_sigma_w(self, sigma_w, message, swept):
-        # the messages the CLI prints for the same values
+        # check_sigma_w's messages, which `simulate` prints for these values
+        # when they come from a config file
         grid = dict(n=(40,), sigma_w=(0.0, sigma_w)) if swept else dict(sigma_w=(sigma_w,))
         with pytest.raises(ConfigError) as raised:
             _tiny_spec(**grid)
