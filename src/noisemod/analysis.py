@@ -11,6 +11,7 @@ simulated.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import pairwise
@@ -56,7 +57,7 @@ def sample_variance_spread(
 
     FOURTH_MOMENT may return a negative value; it is never clamped.
     """
-    if n < 2:
+    if (n := operator.index(n)) < 2:
         raise ValueError(f"n >= 2 required, got {n}")
     if not sigma2 > 0.0:
         raise ValueError(f"sigma2 must be positive, got {sigma2!r}")

@@ -214,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--scheme", choices=sorted(_SCHEME_CHOICES), default="all")
     sim.add_argument("--config", help="JSON config file (defaults built in)")
     sim.add_argument("--n", help="samples per bit/symbol: INT or A:B:STEP")
-    sim.add_argument("--sigma-w", dest="sigma_w", help="channel noise sd: FLOAT or A:B:STEP")
+    sim.add_argument("--sigma-w", dest="sigma_w", help="channel noise sd: FLOAT or A:B:STEP; "
+                     "write a value starting with '-' as --sigma-w=VALUE")
     sim.add_argument("--min-bits", dest="min_bits", type=int, default=100_000)
     sim.add_argument("--seed", type=int, default=1)
     sim.add_argument("--fairness", choices=[f.value for f in Fairness], default="per-bit")

@@ -35,8 +35,8 @@ CHUNK_SYMBOLS = 1 << 16
 SYMBOLS_PER_WORKER = 1 << 18
 
 # log(2^-128): a cell draws no mean deviations when every state's chance of
-# leaving its mean region is bounded below this, and nothing at all when
-# every variance level's is too (see _must_draw).
+# crossing each threshold next to its mean level is bounded below this, and
+# nothing at all when every variance level's is too (see _must_draw).
 LOG_NEGLIGIBLE = -128.0 * math.log(2.0)
 
 WILSON_Z = 1.96  # two-sided 95%
@@ -147,26 +147,14 @@ def compute_moments(gen, counts, n, sigma_w, variances, out):
     return mean_dev, var_hat
 
 
-def _log_sum_exp(logs):
-    """log(sum(exp(e) for e in logs)) in math only; -inf for no terms."""
-    logs = sorted(logs)
-    top = logs.pop() if logs else -math.inf
-    if top == -math.inf:
-        return top
-    return top + sum(math.log1p(math.exp(e - top)) for e in logs)
-
-
-def _log_edge_bounds(levels, thresholds, log_tail):
-    """Log of a bound on each level's chance that its statistic leaves its
-    region.  Level i's edges are its adjacent thresholds in use,
-    thresholds[i - 1] below and thresholds[i] above (a farther one is
-    crossed only through them); log_tail(level, t, upper) bounds the log
-    chance of crossing edge t, and the edges' bounds add."""
-    bounds = []
-    for i, level in enumerate(levels):
-        edges = [(thresholds[j], j == i) for j in (i - 1, i) if 0 <= j < len(thresholds)]
-        bounds.append(_log_sum_exp(log_tail(level, t, upper) for t, upper in edges))
-    return bounds
+def _log_crossing_bounds(levels, thresholds, log_tail):
+    """Log of a bound on the chance of each crossing by which a level's
+    statistic can leave its region: level i's adjacent thresholds in use,
+    thresholds[i - 1] below and thresholds[i] above (a farther one is crossed
+    only through them), in level order.  log_tail(level, t, upper) bounds the
+    log chance of crossing t."""
+    return (log_tail(level, thresholds[j], j == i) for i, level in enumerate(levels)
+            for j in (i - 1, i) if 0 <= j < len(thresholds))
 
 
 def _log_normal_tail(d, var):
@@ -187,20 +175,18 @@ def _log_chi2_tail(x, k, upper):
 
 def _must_draw(bank, n):
     """The 2^-128 rule: (means, anything), whether some state's block mean,
-    and whether some statistic at all, can leave its region with chance
-    2^-128 or more at n samples per symbol.  Variance level v's mean
-    deviation is Normal(0, s2n) and its sample variance s2n times a
-    chi-square(n - 1) variate, with s2n = (v + sigma_w^2) / n."""
+    and whether some statistic at all, can cross one threshold next to its
+    level with chance 2^-128 or more at n samples per symbol (mean crossings
+    first, then variance ones).  Variance level v's mean deviation is
+    Normal(0, s2n) and its sample variance s2n times a chi-square(n - 1)
+    variate, with s2n = (v + sigma_w^2) / n."""
     k = n - 1
     s2n = [(v + bank.sigma_w * bank.sigma_w) / n for v in bank.variances]
-    means = any(
-        bound >= LOG_NEGLIGIBLE
-        for var in s2n
-        for bound in _log_edge_bounds(bank.means, bank.mean_thresholds,
-                                      lambda m, t, _: _log_normal_tail(t - m, var)))
-    return means, means or max(_log_edge_bounds(
+    means = any(bound >= LOG_NEGLIGIBLE for var in s2n for bound in _log_crossing_bounds(
+        bank.means, bank.mean_thresholds, lambda m, t, _: _log_normal_tail(t - m, var)))
+    return means, means or any(bound >= LOG_NEGLIGIBLE for bound in _log_crossing_bounds(
         s2n, bank.effective_var_thresholds,
-        lambda var, t, upper: _log_chi2_tail(t / (var * k), k, upper))) >= LOG_NEGLIGIBLE
+        lambda var, t, upper: _log_chi2_tail(t / (var * k), k, upper)))
 
 
 def run_point(
@@ -222,17 +208,17 @@ def run_point(
     drawn state by state: the state counts, the mean deviations, then the
     chi-square draws.  The 2^-128 rule (see _must_draw) is read once per
     cell: the cell draws no mean deviations, and counts no mean errors,
-    when no state's mean can leave its region with chance 2^-128 or more
-    (a scheme with one mean level has no mean region to leave), and when
-    no statistic can, no bit can err: the cell draws nothing, not even the
-    state counts, and reports 0 errors over the bits it would have drawn.
-    A drawing cell allocates its (2, min(CHUNK_SYMBOLS, symbols)) chunk
-    arrays once; a certain cell allocates none.  A NoiseSource key fixes
-    the estimate.
+    when no state's mean can cross a threshold next to its level with
+    chance 2^-128 or more (a scheme with one mean level has no mean
+    threshold), and when no statistic can, no bit can err: the cell draws
+    nothing, not even the state counts, and reports 0 errors over the bits
+    it would have drawn.  A drawing cell allocates its (2, min(CHUNK_SYMBOLS,
+    symbols)) chunk arrays once; a certain cell allocates none.  A
+    NoiseSource key fixes the estimate.
     """
     if min_bits < 1:
         raise ValueError("min_bits must be >= 1")
-    if n < 2:
+    if (n := operator.index(n)) < 2:
         raise ValueError("n >= 2 required")
     mean_th = [tuple(t - m for t in bank.mean_thresholds) for m in bank.means]
     var_th = bank.effective_var_thresholds

@@ -90,6 +90,16 @@ class TestSampleVarianceSpread:
         with pytest.raises(ValueError):
             sample_variance_spread(1.0, 1)
 
+    @pytest.mark.parametrize("n", [40.5, 4.0, 2.5])
+    def test_non_integer_n_rejected(self, n):
+        with pytest.raises(TypeError):
+            sample_variance_spread(1.0, n)
+
+    def test_numpy_integer_n_accepted(self):
+        assert sample_variance_spread(1.0, np.int64(2)) == 0.5
+        # int64 would wrap n * n; the spread is taken on Python ints
+        assert sample_variance_spread(1.0, np.int64(2**40)) == sample_variance_spread(1.0, 2**40)
+
     @pytest.mark.parametrize("n", [10, 100])
     @pytest.mark.parametrize("sigma2", [1.0, 2.1e-9])
     def test_monte_carlo_agreement(self, n, sigma2):

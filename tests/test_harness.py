@@ -43,7 +43,7 @@ from noisemod.harness import (
     CellFailure,
     _detect_bits,
     _log_chi2_tail,
-    _log_edge_bounds,
+    _log_crossing_bounds,
     _log_normal_tail,
     _must_draw,
     _symbol_states,
@@ -112,6 +112,17 @@ class TestRunPoint:
             run_point(_bank(Scheme.GQNM, DEFAULT_SCHEME, 0.0), 100, 0, NoiseSource(1))
         with pytest.raises(ValueError, match="n >= 2 required"):
             run_point(_bank(Scheme.GQNM, DEFAULT_SCHEME, 0.0), 1, 1000, NoiseSource(1))
+
+    @pytest.mark.parametrize("n", [40.5, 4.0, 2.5])
+    def test_non_integer_n_rejected(self, n):
+        # a block holds a whole number of samples: 40.5 would draw chi-square(39.5)
+        with pytest.raises(TypeError):
+            run_point(_bank(Scheme.KLJN, DEFAULT_SCHEME, 2e-5), n, 1000, NoiseSource(1))
+
+    def test_numpy_integer_n_accepted(self):
+        bank = _bank(Scheme.KLJN, DEFAULT_SCHEME, 2e-5)
+        assert (run_point(bank, np.int64(40), 5000, NoiseSource(7))
+                == run_point(bank, 40, 5000, NoiseSource(7)))
 
     def test_same_key_same_estimate(self):
         args = (_bank(Scheme.GQNM, DEFAULT_SCHEME, 2e-5), 100, 5000)
@@ -359,42 +370,51 @@ class TestDetectionProperty:
         assert got == want
 
 
+def _crossings(levels, thresholds):
+    """(level index, threshold, upper) of each threshold next to each level,
+    in level order, the lower one first: the ways a statistic leaves its region."""
+    for i in range(len(levels)):
+        if i > 0:
+            yield i, thresholds[i - 1], False
+        if i < len(thresholds):
+            yield i, thresholds[i], True
+
+
 class TestMeanErrorBound:
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(config=explicit_configs(), n=st.integers(2, 4000), sigma_w=st.floats(0.0, 1e-3))
     def test_skipped_means_cannot_err(self, config, n, sigma_w):
         """Where run_point's rule drops a cell's normals, every state's exact
-        chance of leaving its mean region is within the bound and below 2^-128."""
+        chance of crossing each threshold next to its mean level is within
+        that crossing's bound and below 2^-128."""
         norm = pytest.importorskip("scipy.stats").norm
         for scheme in Scheme:
             try:
                 bank = threshold_bank(scheme, *derive_subchannels(config), sigma_w=sigma_w)
             except DegenerateLevelsError:
                 continue
-            mean_th = [tuple(t - m for t in bank.mean_thresholds) for m in bank.means]
             s2n = [(v + sigma_w * sigma_w) / n for v in bank.variances]
             if _must_draw(bank, n)[0]:
                 continue  # the cell draws normals
-            bounds = [_log_edge_bounds(bank.means, bank.mean_thresholds,
-                                       lambda m, t, _: _log_normal_tail(t - m, var))
-                      for var in s2n]
-            for row, var in zip(bounds, s2n):
-                for m, (edges, bound) in enumerate(zip(mean_th, row)):
-                    below = edges[m - 1] if m > 0 else -math.inf
-                    above = edges[m] if m < len(edges) else math.inf
-                    exact = np.logaddexp(norm.logcdf(below / math.sqrt(var)),
-                                         norm.logsf(above / math.sqrt(var)))
+            for var in s2n:
+                bounds = _log_crossing_bounds(bank.means, bank.mean_thresholds,
+                                              lambda m, t, _: _log_normal_tail(t - m, var))
+                crossings = _crossings(bank.means, bank.mean_thresholds)
+                for (m, t, upper), bound in zip(crossings, bounds, strict=True):
+                    z = (t - bank.means[m]) / math.sqrt(var)
+                    exact = norm.logsf(z) if upper else norm.logcdf(z)
                     assert exact <= bound < LOG_NEGLIGIBLE
 
 
 def _var_bounds(scheme, config, n, sigma_w, mode=ThresholdMode.NOISE_ADJUSTED):
-    """run_point's variance thresholds, s2n and log bounds for one cell."""
+    """run_point's bank and s2n for one cell, and each variance crossing
+    (level index, threshold, upper) with its log bound."""
     bank = threshold_bank(scheme, *derive_subchannels(config), mode=mode, sigma_w=sigma_w)
     s2n = [(v + sigma_w * sigma_w) / n for v in bank.variances]
     var_th = bank.effective_var_thresholds
-    bounds = _log_edge_bounds(s2n, var_th, lambda var, t, upper:
-                              _log_chi2_tail(t / (var * (n - 1)), n - 1, upper))
-    return var_th, s2n, bounds
+    bounds = _log_crossing_bounds(s2n, var_th, lambda var, t, upper:
+                                  _log_chi2_tail(t / (var * (n - 1)), n - 1, upper))
+    return bank, s2n, list(zip(_crossings(s2n, var_th), bounds, strict=True))
 
 
 class TestVarErrorBound:
@@ -402,42 +422,78 @@ class TestVarErrorBound:
     @given(config=explicit_configs(), n=st.integers(2, 10**6), sigma_w=st.floats(0.0, 1e-3),
            mode=st.sampled_from(list(ThresholdMode)))
     def test_negligible_bounds_hold(self, config, n, sigma_w, mode):
-        """Where a level's bound is below 2^-128, its exact chance of leaving
-        its variance region is within the bound."""
+        """Where a crossing's bound is below 2^-128, its exact chance is within
+        the bound, and where the cell draws nothing, every crossing's is."""
         chi2 = pytest.importorskip("scipy.stats").chi2
         for scheme in Scheme:
             try:
-                var_th, s2n, bounds = _var_bounds(scheme, config, n, sigma_w, mode)
+                bank, s2n, bounds = _var_bounds(scheme, config, n, sigma_w, mode)
             except DegenerateLevelsError:
                 continue
-            for v, (var, bound) in enumerate(zip(s2n, bounds)):
+            certain = not _must_draw(bank, n)[1]
+            for (v, t, upper), bound in bounds:
                 if bound >= LOG_NEGLIGIBLE:
+                    assert not certain
                     continue
-                below = chi2.logcdf(var_th[v - 1], n - 1, scale=var) if v > 0 else -math.inf
-                above = chi2.logsf(var_th[v], n - 1, scale=var) if v < len(var_th) else -math.inf
-                assert np.logaddexp(below, above) <= bound
+                exact = (chi2.logsf if upper else chi2.logcdf)(t, n - 1, scale=s2n[v])
+                assert exact <= bound
 
     def test_canonical_composite_is_not_certain(self):
         # 2000 samples per bit, noise-free: the levels 101e-10 and 105e-10
-        # sit too close for their sample variances to be certain
-        _, _, bounds = _var_bounds(Scheme.CGQNM, DEFAULT_SCHEME, 8000, 0.0)
-        assert bounds[2] >= LOG_NEGLIGIBLE and bounds[3] >= LOG_NEGLIGIBLE
+        # sit too close for their sample variances to be certain; both
+        # crossings of the threshold between them reach 2^-128
+        bank, _, bounds = _var_bounds(Scheme.CGQNM, DEFAULT_SCHEME, 8000, 0.0)
+        top = bank.effective_var_thresholds[2]
+        assert [(c, bound >= LOG_NEGLIGIBLE) for c, bound in bounds[4:]] == [
+            ((2, top, True), True), ((3, top, False), True)]
 
     def test_certain_variances_still_draw_means_that_can_err(self):
         # variance levels 100x apart are certain at 4000 samples, but the
         # means sit ~2 block spreads of the high level from their threshold
         config = SchemeConfig(SubchannelParams(0.0, 6e-6, 1e-10, 1e-8), DEFAULT_SCHEME.sub1)
-        _, _, bounds = _var_bounds(Scheme.GQNM, config, 4000, 0.0)
-        bank = _bank(Scheme.GQNM, config, 0.0)
-        assert max(bounds) < LOG_NEGLIGIBLE and _must_draw(bank, 4000) == (True, True)
+        bank, _, bounds = _var_bounds(Scheme.GQNM, config, 4000, 0.0)
+        assert all(bound < LOG_NEGLIGIBLE for _, bound in bounds)
+        assert _must_draw(bank, 4000) == (True, True)
         assert run_point(bank, 4000, 20_000, NoiseSource(5)).errors > 0
 
     def test_mean_past_its_threshold_gets_bound_one(self):
         # paper thresholds ignore sigma_w^2, which lifts level 0's mean
         # (1e-10 + 4e-10, less a 1/n share) past its threshold 3e-10
-        _, s2n, bounds = _var_bounds(Scheme.KLJN, DEFAULT_SCHEME, 2000, 2e-5,
-                                     ThresholdMode.MIDPOINT)
-        assert s2n[0] * 1999 > 3e-10 and bounds[0] == 0.0
+        bank, s2n, bounds = _var_bounds(Scheme.KLJN, DEFAULT_SCHEME, 2000, 2e-5,
+                                        ThresholdMode.MIDPOINT)
+        assert s2n[0] * 1999 > 3e-10
+        assert bounds[0] == ((0, bank.effective_var_thresholds[0], True), 0.0)
+
+
+class TestRulePromise:
+    def test_skipped_cell_prints_its_drawn_row(self):
+        """Where the 2^-128 rule skips a cell, its estimate is the one that
+        the cell's draws give."""
+        import noisemod.harness as hn
+
+        certain = []
+
+        @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+        @given(config=explicit_configs(), n=st.integers(2, 10**6), sigma_w=st.floats(0.0, 1e-3),
+               mode=st.sampled_from(list(ThresholdMode)))
+        def check(config, n, sigma_w, mode):
+            for scheme in Scheme:
+                try:
+                    bank = _bank(scheme, config, sigma_w, mode)
+                except DegenerateLevelsError:
+                    continue
+                if _must_draw(bank, n) != (False, False):
+                    continue
+                certain.append(scheme)
+                skipped = run_point(bank, n, 4000, NoiseSource(n))
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(hn, "_must_draw", lambda bank, n: (True, True))
+                    drawn = run_point(bank, n, 4000, NoiseSource(n))
+                assert skipped == drawn
+
+        check()
+        # 41 of the derandomized cells skip: 20 KLJN, 18 GQNM and 3 CGQNM
+        assert len(certain) >= 30 and set(certain) == set(Scheme), len(certain)
 
 
 def _readme_certain_n():
